@@ -1023,6 +1023,11 @@ impl<'n> CampaignSimulator<'n> {
         ws.ratio_curve.push(0.0);
         while pr.tick < self.config.max_ticks && !pr.done() {
             self.step_tick(ws, &mut pr, &mut rng);
+            if drained(ws, &pr) {
+                // Every remaining tick is a drained tick: replay them
+                // draw-for-draw without the stepper.
+                self.run_out_drained(ws, &mut pr, &mut rng, &self.live_probs());
+            }
         }
         pr.stats(ws.ratio_curve.last().copied().unwrap_or(0.0))
     }

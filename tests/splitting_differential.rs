@@ -18,16 +18,20 @@
 // Test code: the unwrap/expect ban (clippy.toml) applies to the
 // non-test library code of diversify-des/diversify-core.
 #![allow(clippy::disallowed_methods)]
-use diversify::attack::campaign::{CampaignConfig, CampaignStats, ThreatModel};
+use diversify::attack::campaign::{
+    CampaignConfig, CampaignMilestone, CampaignStats, MilestonePlacement, ThreatModel,
+};
 use diversify::attack::split::StageChainTask;
 use diversify::attack::stage::AttackStage;
 use diversify::attack::to_san::{compile_stage_chain, success_place, StageParams};
 use diversify::core::indicators::{IndicatorAccum, PrecisionResponse};
-use diversify::core::{measure_configuration_splitting, Executor};
+use diversify::core::{
+    measure_configuration_splitting, measure_configuration_splitting_adaptive, Executor,
+};
 use diversify::san::{solve, Method, RewardSpec};
 use diversify::scada::scope::{ScopeConfig, ScopeSystem};
 use diversify::stats::{product_proportion_ci, proportion_ci};
-use diversify_des::splitting::Splitting;
+use diversify_des::splitting::{LevelSummary, Splitting};
 use diversify_des::SimTime;
 use proptest::prelude::*;
 
@@ -169,6 +173,66 @@ fn campaign_splitting_is_bit_identical_across_executors_and_runs() {
     )
     .unwrap();
     assert_eq!(serial.estimate.to_bits(), again.estimate.to_bits());
+}
+
+/// Pins the piloted splitting measurement on SCoPE: pilot draws,
+/// milestone placement, per-level tallies and tick cost. The values
+/// were recorded with the batched pilot and level engine, so any
+/// change in how the pilot or the levels draw shows up here.
+#[test]
+fn piloted_campaign_splitting_is_pinned() {
+    let net = ScopeSystem::build(&ScopeConfig::default())
+        .network()
+        .clone();
+    let config = CampaignConfig {
+        max_ticks: 48,
+        detection_stops_attack: true,
+    };
+    let run = measure_configuration_splitting_adaptive(
+        &net,
+        &ThreatModel::stuxnet_like(),
+        config,
+        64,
+        0x91_2013,
+        Executor::serial(),
+        0.95,
+        32,
+        8,
+    )
+    .unwrap();
+    assert_eq!(run.estimate.to_bits(), 0x3fee_0000_0000_0000); // 0.9375
+    assert_eq!(
+        run.milestones,
+        [
+            CampaignMilestone::Rooted,
+            CampaignMilestone::SpreadAtLeast(2),
+            CampaignMilestone::PayloadDelivered,
+            CampaignMilestone::GoalReached,
+        ]
+    );
+    assert_eq!(
+        run.placement,
+        Some(MilestonePlacement::Piloted {
+            spread_threshold: 2,
+            rooted_survivors: 32,
+            goal_fraction: 0.9375,
+        })
+    );
+    let level = |attempts, survivors, ticks| LevelSummary {
+        attempts,
+        survivors,
+        ticks,
+    };
+    assert_eq!(
+        run.levels,
+        [
+            level(64, 64, 167),
+            level(64, 64, 10),
+            level(64, 60, 555),
+            level(64, 64, 22),
+        ]
+    );
+    assert_eq!(run.total_ticks, 754);
 }
 
 // ---------------------------------------------------------------------
