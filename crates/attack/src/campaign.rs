@@ -41,14 +41,11 @@
 use crate::exploit::ExploitCatalog;
 use crate::frontier::ActiveSet;
 use crate::stage::{AttackStage, NodeCompromise};
-use diversify_des::exec::{BatchTask, Replication};
 use diversify_des::{
-    derive_seed, Executor, LaneState, PartialRun, ReplicationPlan, RngLanes, RngStream, RunPolicy,
-    StreamId,
+    derive_seed, Executor, PartialRun, ReplicationPlan, RngStream, RunPolicy, StreamId,
 };
 use diversify_scada::components::ComponentProfile;
-use diversify_scada::network::{NodeId, NodeRole, ScadaNetwork, Topology, Zone};
-use diversify_scada::ProtocolDialect;
+use diversify_scada::network::{NodeId, NodeRole, ScadaNetwork, Topology};
 use serde::{Deserialize, Serialize};
 
 /// What the attacker is trying to achieve.
@@ -586,297 +583,6 @@ fn drained(ws: &CampaignWorkspace, pr: &Progress) -> bool {
         && (ws.frontier.is_empty() || pr.clean == 0)
 }
 
-/// The RNG handle a tick stepper draws from: either a scalar
-/// [`RngStream`] or one lane of an [`RngLanes`] SoA block. Both advance
-/// the identical xoshiro256++ state identically, so the batched engine
-/// is bit-identical to the scalar one per lane by construction.
-trait TickRng {
-    fn bernoulli(&mut self, p: f64) -> bool;
-    fn index(&mut self, n: usize) -> usize;
-}
-
-impl TickRng for RngStream {
-    #[inline]
-    fn bernoulli(&mut self, p: f64) -> bool {
-        RngStream::bernoulli(self, p)
-    }
-
-    #[inline]
-    fn index(&mut self, n: usize) -> usize {
-        RngStream::index(self, n)
-    }
-}
-
-/// One lane of a lockstep batch, checked out of the SoA block for the
-/// duration of a tick so draws step in registers ([`LaneState`]); the
-/// advanced state is committed back after the tick.
-impl TickRng for LaneState {
-    #[inline]
-    fn bernoulli(&mut self, p: f64) -> bool {
-        LaneState::bernoulli(self, p)
-    }
-
-    #[inline]
-    fn index(&mut self, n: usize) -> usize {
-        LaneState::index(self, n)
-    }
-}
-
-/// Where the tick stepper gets its per-node exploit probabilities.
-///
-/// The scalar path computes them from the catalog and profiles at every
-/// draw ([`LiveProbs`]); the batched path reads them from per-node
-/// tables filled once at simulator construction ([`ProbTables`]) so one
-/// pass over the profiles serves every lane of every batch. Every
-/// method must return the *identical*
-/// `f64` both ways — the table entries are the same pure IEEE
-/// expressions, evaluated earlier — which is what keeps batched ≡
-/// scalar bit-identity intact.
-trait TickProbs {
-    fn infection_p(&self, dst: NodeId) -> f64;
-    fn escalation_p(&self, id: NodeId) -> f64;
-    fn firewall_pass_p(&self, dst: NodeId) -> f64;
-    fn src_ctx(&self, src: NodeId) -> SrcCtx;
-    fn dialect_ok(&self, src: SrcCtx, dst: NodeId) -> bool;
-    fn crosses_zone(&self, src: SrcCtx, dst: NodeId) -> bool;
-    fn detection_p(&self, impairment_active: bool) -> f64;
-}
-
-/// Per-source context hoisted out of the lateral inner loop: the
-/// source's wire dialect and security zone. Both are fixed for the
-/// whole sweep over a source's attempts, and both paths read the same
-/// underlying values, so hoisting changes no draw.
-#[derive(Debug, Clone, Copy)]
-struct SrcCtx {
-    dialect: ProtocolDialect,
-    zone: Zone,
-}
-
-/// The scalar probability source: catalog + profiles consulted at every
-/// draw — exactly the historical `step_tick` computations.
-struct LiveProbs<'a> {
-    net: &'a ScadaNetwork,
-    cat: &'a ExploitCatalog,
-    historian: &'a ComponentProfile,
-    sensor: &'a ComponentProfile,
-    stealth: f64,
-}
-
-impl TickProbs for LiveProbs<'_> {
-    #[inline]
-    fn infection_p(&self, dst: NodeId) -> f64 {
-        self.cat.infection_probability(self.net.profile(dst))
-    }
-
-    #[inline]
-    fn escalation_p(&self, id: NodeId) -> f64 {
-        self.cat.escalation_probability(self.net.profile(id))
-    }
-
-    #[inline]
-    fn firewall_pass_p(&self, dst: NodeId) -> f64 {
-        self.cat.firewall_pass_probability(self.net.profile(dst))
-    }
-
-    #[inline]
-    fn src_ctx(&self, src: NodeId) -> SrcCtx {
-        SrcCtx {
-            dialect: self.net.profile(src).dialect,
-            zone: self.net.zone(src),
-        }
-    }
-
-    #[inline]
-    fn dialect_ok(&self, src: SrcCtx, dst: NodeId) -> bool {
-        src.dialect == self.net.profile(dst).dialect
-            || !matches!(self.net.role(dst), NodeRole::Plc | NodeRole::FieldGateway)
-    }
-
-    #[inline]
-    fn crosses_zone(&self, src: SrcCtx, dst: NodeId) -> bool {
-        src.zone != self.net.zone(dst)
-    }
-
-    #[inline]
-    fn detection_p(&self, impairment_active: bool) -> f64 {
-        self.cat
-            .detection_probability(self.historian, self.sensor, impairment_active, self.stealth)
-    }
-}
-
-/// Per-node probability tables of the batched engine, filled **once at
-/// simulator construction** (profiles cannot change while the
-/// simulator borrows the network): each entry is the same pure `f64`
-/// expression the scalar path evaluates per draw, so lookups are
-/// bit-identical to live computation. Filling per batch would cost
-/// O(nodes) against a tick loop that costs O(frontier) — at fleet
-/// scale the fill would dominate the replications it serves.
-#[derive(Debug, Clone, Default)]
-struct ProbTables {
-    /// One packed entry per node: everything the lateral inner loop
-    /// asks about a destination lives on one cache line.
-    nodes: Vec<NodeProbs>,
-    detection_quiet: f64,
-    detection_active: f64,
-}
-
-/// One node's precomputed tick-loop constants, packed array-of-structs
-/// (32 bytes) so a single line fill serves the firewall, dialect, and
-/// infection questions the lateral loop asks about a destination
-/// back-to-back — the scalar path pays a [`ComponentProfile`] walk plus
-/// catalog arithmetic for each.
-#[derive(Debug, Clone, Copy)]
-struct NodeProbs {
-    infection: f64,
-    escalation: f64,
-    firewall_pass: f64,
-    dialect: ProtocolDialect,
-    /// Whether the node's role demands the wire dialect (PLC or field
-    /// gateway destination).
-    needs_dialect: bool,
-    zone: Zone,
-}
-
-impl ProbTables {
-    fn fill(&mut self, sim: &CampaignSimulator<'_>) {
-        let net = sim.network;
-        let cat = &sim.threat.catalog;
-        self.nodes.clear();
-        for id in net.node_ids() {
-            let p = net.profile(id);
-            self.nodes.push(NodeProbs {
-                infection: cat.infection_probability(p),
-                escalation: cat.escalation_probability(p),
-                firewall_pass: cat.firewall_pass_probability(p),
-                dialect: p.dialect,
-                needs_dialect: matches!(net.role(id), NodeRole::Plc | NodeRole::FieldGateway),
-                zone: net.zone(id),
-            });
-        }
-        self.detection_quiet = cat.detection_probability(
-            &sim.historian_profile,
-            &sim.sensor_profile,
-            false,
-            sim.threat.stealth,
-        );
-        self.detection_active = cat.detection_probability(
-            &sim.historian_profile,
-            &sim.sensor_profile,
-            true,
-            sim.threat.stealth,
-        );
-    }
-}
-
-impl TickProbs for ProbTables {
-    #[inline]
-    fn infection_p(&self, dst: NodeId) -> f64 {
-        self.nodes[dst.index()].infection
-    }
-
-    #[inline]
-    fn escalation_p(&self, id: NodeId) -> f64 {
-        self.nodes[id.index()].escalation
-    }
-
-    #[inline]
-    fn firewall_pass_p(&self, dst: NodeId) -> f64 {
-        self.nodes[dst.index()].firewall_pass
-    }
-
-    #[inline]
-    fn src_ctx(&self, src: NodeId) -> SrcCtx {
-        let node = &self.nodes[src.index()];
-        SrcCtx {
-            dialect: node.dialect,
-            zone: node.zone,
-        }
-    }
-
-    #[inline]
-    fn dialect_ok(&self, src: SrcCtx, dst: NodeId) -> bool {
-        let node = &self.nodes[dst.index()];
-        src.dialect == node.dialect || !node.needs_dialect
-    }
-
-    #[inline]
-    fn crosses_zone(&self, src: SrcCtx, dst: NodeId) -> bool {
-        src.zone != self.nodes[dst.index()].zone
-    }
-
-    #[inline]
-    fn detection_p(&self, impairment_active: bool) -> f64 {
-        if impairment_active {
-            self.detection_active
-        } else {
-            self.detection_quiet
-        }
-    }
-}
-
-/// Reusable state of the lockstep batched campaign engine: K lanes of
-/// the scalar per-replication workspace, their tick-loop progress, a
-/// K-wide SoA block of xoshiro lane states, and the stats of the most
-/// recent batch. Created once per worker
-/// ([`CampaignSimulator::batched_workspace`]) and reused across
-/// batches; like [`CampaignWorkspace`], the steady state at a fixed
-/// batch width runs allocation-free (`tests/zero_alloc.rs`).
-#[derive(Debug, Default)]
-pub struct BatchedCampaignWorkspace {
-    /// One scalar workspace per lane; sized lazily to the widest batch
-    /// seen.
-    lanes: Vec<CampaignWorkspace>,
-    /// Per-lane tick-loop progress of the in-flight batch.
-    progress: Vec<Progress>,
-    /// Lane-major SoA block of per-lane RNG states.
-    rng: RngLanes,
-    /// Per-lane stats of the most recent [`CampaignSimulator::run_batch_into`].
-    stats: Vec<CampaignStats>,
-    /// Scratch for seed slices handed across the [`BatchTask`] seam.
-    seed_buf: Vec<u64>,
-    /// Per-lane segment start ticks of an in-flight stage batch.
-    start_ticks: Vec<u32>,
-    /// Indices of lanes still advancing — finished lanes drop out so a
-    /// straggler lane never pays a per-tick sweep over dead lanes.
-    live_lanes: Vec<usize>,
-}
-
-impl BatchedCampaignWorkspace {
-    /// An empty batched workspace; lanes size themselves on first use.
-    #[must_use]
-    pub fn new() -> Self {
-        BatchedCampaignWorkspace::default()
-    }
-
-    /// Grows the lane array to at least `k` scalar workspaces.
-    fn ensure_lanes(&mut self, k: usize) {
-        if self.lanes.len() < k {
-            self.lanes.resize_with(k, CampaignWorkspace::new);
-        }
-    }
-
-    /// Lane 0 as a scalar [`CampaignWorkspace`] — the remainder/scalar
-    /// path of the lockstep executor and the staged splitting task run
-    /// through it.
-    pub fn scalar_lane(&mut self) -> &mut CampaignWorkspace {
-        self.ensure_lanes(1);
-        &mut self.lanes[0]
-    }
-
-    /// The per-lane scalar workspace of the most recent batch (ratio
-    /// curve and final states of that lane's replication).
-    #[must_use]
-    pub fn lane(&self, lane: usize) -> &CampaignWorkspace {
-        &self.lanes[lane]
-    }
-
-    /// Per-lane stats of the most recent batch, in seed order.
-    #[must_use]
-    pub fn stats(&self) -> &[CampaignStats] {
-        &self.stats
-    }
-}
-
 /// Tick-based Monte-Carlo campaign simulator over a plant network.
 ///
 /// Network-derived constants (entry points, PLC ids and their payload
@@ -904,12 +610,8 @@ pub struct CampaignSimulator<'n> {
     payload_p: Vec<f64>,
     /// Representative profiles for detection: the historian node and a
     /// field sensor owner (first PLC).
-    historian_profile: diversify_scada::components::ComponentProfile,
-    sensor_profile: diversify_scada::components::ComponentProfile,
-    /// Per-node probability tables of the batched lockstep engine,
-    /// precomputed here because profiles cannot change while the
-    /// simulator borrows the network.
-    tables: ProbTables,
+    historian_profile: ComponentProfile,
+    sensor_profile: ComponentProfile,
 }
 
 impl<'n> CampaignSimulator<'n> {
@@ -939,7 +641,7 @@ impl<'n> CampaignSimulator<'n> {
             .first()
             .map(|&id| *network.profile(id))
             .unwrap_or_default();
-        let mut sim = CampaignSimulator {
+        CampaignSimulator {
             network,
             topo,
             threat,
@@ -950,12 +652,7 @@ impl<'n> CampaignSimulator<'n> {
             payload_p,
             historian_profile,
             sensor_profile,
-            tables: ProbTables::default(),
-        };
-        let mut tables = std::mem::take(&mut sim.tables);
-        tables.fill(&sim);
-        sim.tables = tables;
-        sim
+        }
     }
 
     /// The threat model under simulation.
@@ -1013,7 +710,9 @@ impl<'n> CampaignSimulator<'n> {
     /// exactly the draw schedule of a dense ascending scan that checks
     /// eligibility at visit time, so `run_into` is bit-identical to
     /// [`CampaignSimulator::run_reference`] and
-    /// [`CampaignSimulator::run`].
+    /// [`CampaignSimulator::run`]. Once the replication has drained, the
+    /// remaining ticks replay through a fast path that makes the same
+    /// draws without the stage sweeps.
     #[must_use]
     pub fn run_into(&self, ws: &mut CampaignWorkspace, seed: u64) -> CampaignStats {
         let mut rng = RngStream::new(seed, StreamId(0xA77));
@@ -1026,172 +725,10 @@ impl<'n> CampaignSimulator<'n> {
             if drained(ws, &pr) {
                 // Every remaining tick is a drained tick: replay them
                 // draw-for-draw without the stepper.
-                self.run_out_drained(ws, &mut pr, &mut rng, &self.live_probs());
+                self.run_out_drained(ws, &mut pr, &mut rng);
             }
         }
         pr.stats(ws.ratio_curve.last().copied().unwrap_or(0.0))
-    }
-
-    /// A batched workspace for this simulator — create one per worker
-    /// and pass it to [`CampaignSimulator::run_batch_into`] for every
-    /// batch (the idiom behind `Executor::run_ws_lockstep`). Lanes size
-    /// themselves to the widest batch seen.
-    #[must_use]
-    pub fn batched_workspace(&self) -> BatchedCampaignWorkspace {
-        BatchedCampaignWorkspace::new()
-    }
-
-    /// Runs `seeds.len()` campaign replications in lockstep: all lanes
-    /// advance one tick per pass over the batch, sharing the per-node
-    /// probability tables (precomputed at construction) and one
-    /// lane-major SoA block of RNG states. Returns the per-lane
-    /// [`CampaignStats`] in seed
-    /// order; each lane's ratio curve and final states stay readable
-    /// via [`BatchedCampaignWorkspace::lane`] until the next batch.
-    ///
-    /// **Determinism contract:** every lane draws from its own
-    /// xoshiro256++ stream seeded exactly like the scalar path
-    /// (`RngStream::new(seed, StreamId(0xA77))`), and the tick stepper
-    /// is the same monomorphized body the scalar engine runs, so
-    /// `run_batch_into(ws, seeds)[i]` is bit-identical to
-    /// `run_into(ws, seeds[i])` for every lane, any batch width, and
-    /// any mix of lane lifetimes (lanes that finish early are skipped;
-    /// their streams never advance again).
-    pub fn run_batch_into<'w>(
-        &self,
-        ws: &'w mut BatchedCampaignWorkspace,
-        seeds: &[u64],
-    ) -> &'w [CampaignStats] {
-        let n = self.network.node_count();
-        let k = seeds.len();
-        ws.ensure_lanes(k);
-        ws.rng.reseed(seeds, StreamId(0xA77));
-        ws.progress.clear();
-        ws.progress.resize(k, Progress::fresh(n));
-        ws.stats.clear();
-        let max_ticks = self.config.max_ticks;
-        let tables = &self.tables;
-        let BatchedCampaignWorkspace {
-            lanes,
-            progress,
-            rng,
-            stats,
-            live_lanes,
-            ..
-        } = ws;
-        for lane_ws in &mut lanes[..k] {
-            lane_ws.reset(n);
-            lane_ws.ratio_curve.push(0.0);
-        }
-        let live = |pr: &Progress| pr.tick < max_ticks && !pr.done();
-        live_lanes.clear();
-        live_lanes.extend((0..k).filter(|&lane| live(&progress[lane])));
-        while !live_lanes.is_empty() {
-            // Lanes draw from independent streams, so dropping finished
-            // lanes out of the pass order cannot perturb the others.
-            live_lanes.retain(|&lane| {
-                let pr = &mut progress[lane];
-                let mut lane_rng = rng.checkout(lane);
-                self.step_tick_core(&mut lanes[lane], pr, &mut lane_rng, tables);
-                if live(pr) && drained(&lanes[lane], pr) {
-                    // Every remaining tick of this lane is a drained
-                    // tick: replay them draw-for-draw without the
-                    // stepper and retire the lane.
-                    self.run_out_drained(&mut lanes[lane], pr, &mut lane_rng, tables);
-                }
-                rng.commit(lane, lane_rng);
-                live(pr)
-            });
-        }
-        for (lane_ws, pr) in lanes[..k].iter().zip(progress.iter()) {
-            stats.push(pr.stats(lane_ws.ratio_curve.last().copied().unwrap_or(0.0)));
-        }
-        stats
-    }
-
-    /// The lockstep counterpart of [`CampaignSimulator::run_stage`]:
-    /// advances one replication segment per `(froms[i], seeds[i])` pair
-    /// toward `milestone`, all lanes in lockstep over shared probability
-    /// tables, and appends one [`StageRun`] per lane to `out` in order.
-    /// Each lane is bit-identical to the scalar
-    /// `run_stage(ws, froms[i], seeds[i], milestone)` — the splitting
-    /// engine's level populations and the adaptive-placement pilot both
-    /// run through here.
-    ///
-    /// # Panics
-    ///
-    /// If `froms` and `seeds` differ in length.
-    pub fn run_stage_batch(
-        &self,
-        ws: &mut BatchedCampaignWorkspace,
-        froms: &[Option<&CampaignCheckpoint>],
-        seeds: &[u64],
-        milestone: CampaignMilestone,
-        out: &mut Vec<StageRun>,
-    ) {
-        assert_eq!(froms.len(), seeds.len(), "one parent slot per seed");
-        let n = self.network.node_count();
-        let k = seeds.len();
-        ws.ensure_lanes(k);
-        ws.rng.reseed(seeds, StreamId(0xA77));
-        ws.progress.clear();
-        ws.start_ticks.clear();
-        let max_ticks = self.config.max_ticks;
-        let tables = &self.tables;
-        let BatchedCampaignWorkspace {
-            lanes,
-            progress,
-            rng,
-            start_ticks,
-            live_lanes,
-            ..
-        } = ws;
-        for (lane_ws, from) in lanes[..k].iter_mut().zip(froms) {
-            let pr = match from {
-                Some(cp) => self.restore(lane_ws, cp),
-                None => {
-                    lane_ws.reset(n);
-                    lane_ws.ratio_curve.push(0.0);
-                    Progress::fresh(n)
-                }
-            };
-            start_ticks.push(pr.tick);
-            progress.push(pr);
-        }
-        let live = |pr: &Progress| !milestone.reached(pr) && !pr.done() && pr.tick < max_ticks;
-        live_lanes.clear();
-        live_lanes.extend((0..k).filter(|&lane| live(&progress[lane])));
-        while !live_lanes.is_empty() {
-            live_lanes.retain(|&lane| {
-                let pr = &mut progress[lane];
-                let mut lane_rng = rng.checkout(lane);
-                self.step_tick_core(&mut lanes[lane], pr, &mut lane_rng, tables);
-                rng.commit(lane, lane_rng);
-                live(pr)
-            });
-        }
-        for ((lane_ws, pr), &start) in lanes[..k]
-            .iter()
-            .zip(progress.iter())
-            .zip(start_ticks.iter())
-        {
-            out.push(StageRun {
-                reached: milestone.reached(pr),
-                ticks: pr.tick - start,
-                checkpoint: self.capture(lane_ws, pr),
-            });
-        }
-    }
-
-    /// The live (per-draw) probability source of the scalar path.
-    fn live_probs(&self) -> LiveProbs<'_> {
-        LiveProbs {
-            net: self.network,
-            cat: &self.threat.catalog,
-            historian: &self.historian_profile,
-            sensor: &self.sensor_profile,
-            stealth: self.threat.stealth,
-        }
     }
 
     /// Advances one tick of the event-driven engine: entry seeding,
@@ -1201,23 +738,8 @@ impl<'n> CampaignSimulator<'n> {
     /// so the stepper stays bit-identical to
     /// [`CampaignSimulator::run_reference`].
     fn step_tick(&self, ws: &mut CampaignWorkspace, pr: &mut Progress, rng: &mut RngStream) {
-        self.step_tick_core(ws, pr, rng, &self.live_probs());
-    }
-
-    /// The tick stepper itself, generic over the RNG handle (scalar
-    /// stream or lockstep lane) and the probability source (live
-    /// catalog computation or precomputed tables). One monomorphized
-    /// body serves both engines, which is what makes the batched ≡
-    /// scalar draw schedule identical *by construction*: the draws are
-    /// the same code, in the same order, on the same state machine.
-    fn step_tick_core<R: TickRng, P: TickProbs>(
-        &self,
-        ws: &mut CampaignWorkspace,
-        pr: &mut Progress,
-        rng: &mut R,
-        probs: &P,
-    ) {
         let net = self.network;
+        let cat = &self.threat.catalog;
         let topo = self.topo;
         let n = pr.nodes;
         let total_plcs = self.plc_ids.len().max(1);
@@ -1239,7 +761,7 @@ impl<'n> CampaignSimulator<'n> {
         // Stuxnet dossier); entry succeeds against the entry node's OS.
         if pr.clean == n {
             if let Some(&entry) = self.entries.first() {
-                let p = probs.infection_p(entry);
+                let p = cat.infection_probability(net.profile(entry));
                 if rng.bernoulli(p) {
                     states[entry.index()] = NodeCompromise::Infected;
                     pr.clean -= 1;
@@ -1268,7 +790,7 @@ impl<'n> CampaignSimulator<'n> {
             while let Some(i) = infected.next_at_or_after(cursor) {
                 cursor = i + 1;
                 let id = NodeId::from_index(i);
-                if rng.bernoulli(probs.escalation_p(id)) {
+                if rng.bernoulli(cat.escalation_probability(net.profile(id))) {
                     states[i] = NodeCompromise::Rooted;
                     infected.remove(i);
                     note_rooted(
@@ -1299,15 +821,19 @@ impl<'n> CampaignSimulator<'n> {
                 cursor = s + 1;
                 let src = NodeId::from_index(s);
                 let neighbors = topo.neighbors(src);
-                let src_ctx = probs.src_ctx(src);
+                // The source's dialect and zone are fixed for the whole
+                // sweep over its attempts.
+                let src_dialect = net.profile(src).dialect;
+                let src_zone = net.zone(src);
                 for _ in 0..self.threat.attempts_per_tick {
                     let dst = neighbors[rng.index(neighbors.len())];
                     if states[dst.index()] != NodeCompromise::Clean {
                         continue;
                     }
+                    let dst_profile = net.profile(dst);
                     // Zone crossings face the destination firewall.
-                    if probs.crosses_zone(src_ctx, dst) {
-                        let pass = probs.firewall_pass_p(dst);
+                    if src_zone != net.zone(dst) {
+                        let pass = cat.firewall_pass_probability(dst_profile);
                         if !rng.bernoulli(pass) {
                             pr.firewall_blocks += 1;
                             continue;
@@ -1315,11 +841,13 @@ impl<'n> CampaignSimulator<'n> {
                     }
                     // Propagation additionally requires speaking the
                     // destination's wire dialect inside the field zone.
-                    if !probs.dialect_ok(src_ctx, dst) && !rng.bernoulli(0.05) {
+                    let dialect_ok = src_dialect == dst_profile.dialect
+                        || !matches!(net.role(dst), NodeRole::Plc | NodeRole::FieldGateway);
+                    if !dialect_ok && !rng.bernoulli(0.05) {
                         pr.payload_failures += 1;
                         continue;
                     }
-                    if rng.bernoulli(probs.infection_p(dst)) {
+                    if rng.bernoulli(cat.infection_probability(dst_profile)) {
                         states[dst.index()] = NodeCompromise::Infected;
                         pr.clean -= 1;
                         infected.insert(dst.index());
@@ -1411,8 +939,7 @@ impl<'n> CampaignSimulator<'n> {
         // Detection (Time-To-Security-Failure). Only active intrusions
         // can be noticed.
         if pr.time_to_detection.is_none() && pr.clean < n {
-            let impairment_active = pr.reprogrammed > 0;
-            let p = probs.detection_p(impairment_active);
+            let p = self.detection_p(pr.reprogrammed > 0);
             if rng.bernoulli(p) {
                 pr.time_to_detection = Some(tick);
                 if self.config.detection_stops_attack {
@@ -1426,27 +953,31 @@ impl<'n> CampaignSimulator<'n> {
         ratio_curve.push(pr.ratio());
     }
 
-    /// Replays the remaining ticks of a [`drained`] lane without the
-    /// stepper: every stage sweep is provably empty, so a tick reduces
-    /// to the goal-clock evaluation, one detection Bernoulli at a
-    /// constant probability while detection is unresolved, and one
+    /// The per-tick detection probability of an active intrusion.
+    fn detection_p(&self, impairment_active: bool) -> f64 {
+        self.threat.catalog.detection_probability(
+            &self.historian_profile,
+            &self.sensor_profile,
+            impairment_active,
+            self.threat.stealth,
+        )
+    }
+
+    /// Replays the remaining ticks of a [`drained`] replication without
+    /// the stepper: every stage sweep is provably empty, so a tick
+    /// reduces to the goal-clock evaluation, one detection Bernoulli at
+    /// a constant probability while detection is unresolved, and one
     /// (constant) ratio sample — exactly what
-    /// [`CampaignSimulator::step_tick_core`] would do, draw for draw,
-    /// minus the sweeps it provably would not make. Keeps the lane
-    /// bit-identical to scalar while costing a few nanoseconds per tick
-    /// instead of a full stepper pass.
-    fn run_out_drained<R: TickRng, P: TickProbs>(
-        &self,
-        ws: &mut CampaignWorkspace,
-        pr: &mut Progress,
-        rng: &mut R,
-        probs: &P,
-    ) {
+    /// [`CampaignSimulator::step_tick`] would do, draw for draw, minus
+    /// the sweeps it provably would not make. Keeps the replication
+    /// bit-identical while costing a few nanoseconds per tick instead
+    /// of a full stepper pass.
+    fn run_out_drained(&self, ws: &mut CampaignWorkspace, pr: &mut Progress, rng: &mut RngStream) {
         let total_plcs = self.plc_ids.len().max(1);
         let ratio = pr.ratio();
         // Reprogramming needs an eligible PLC, so impairment activity —
         // and with it the detection probability — is frozen.
-        let detection_p = probs.detection_p(pr.reprogrammed > 0);
+        let detection_p = self.detection_p(pr.reprogrammed > 0);
         while pr.tick < self.config.max_ticks && !pr.done() {
             pr.tick += 1;
             match self.threat.goal {
@@ -1585,6 +1116,9 @@ impl<'n> CampaignSimulator<'n> {
             }
         };
         let start = pr.tick;
+        // No drained-tail fast path here: a milestone such as the
+        // exfiltration clock's `GoalReached` can be crossed during
+        // drained ticks, and the segment must stop exactly there.
         while !milestone.reached(&pr) && !pr.done() && pr.tick < self.config.max_ticks {
             self.step_tick(ws, &mut pr, &mut rng);
         }
@@ -1843,14 +1377,15 @@ impl<'n> CampaignSimulator<'n> {
         }
     }
 
-    /// Adaptive splitting-level placement: a pilot batch estimates
+    /// Adaptive splitting-level placement: a pilot run estimates
     /// per-level survivor fractions and places the `SpreadAtLeast`
     /// threshold to equalize the conditional passage probabilities
     /// around it, instead of the fixed `(required/2).max(2)` heuristic
     /// of [`CampaignSimulator::split_milestones`].
     ///
-    /// The pilot runs `pilot_population` replications through the
-    /// lockstep stage engine: fresh toward
+    /// The pilot runs `pilot_population` replications through
+    /// [`CampaignSimulator::run_stage`] on one reused workspace: fresh
+    /// toward
     /// [`CampaignMilestone::Rooted`], survivors onward toward
     /// [`CampaignMilestone::GoalReached`]. With `p_goal` the fraction
     /// of rooted survivors that reach the goal and `p_k` the fraction
@@ -1893,45 +1428,30 @@ impl<'n> CampaignSimulator<'n> {
             return fallback("goal requires fewer than two PLCs; nothing to place");
         }
 
-        let mut ws = self.batched_workspace();
-        let seeds: Vec<u64> = (0..u64::from(pilot_population))
-            .map(|i| derive_seed(master_seed, StreamId(PILOT_STREAM_NAMESPACE ^ i)))
-            .collect();
-        let froms: Vec<Option<&CampaignCheckpoint>> = vec![None; seeds.len()];
-        let mut to_rooted = Vec::with_capacity(seeds.len());
-        self.run_stage_batch(
-            &mut ws,
-            &froms,
-            &seeds,
-            CampaignMilestone::Rooted,
-            &mut to_rooted,
-        );
-        let rooted: Vec<&CampaignCheckpoint> = to_rooted
-            .iter()
+        let mut ws = self.workspace();
+        let rooted: Vec<CampaignCheckpoint> = (0..u64::from(pilot_population))
+            .map(|i| {
+                let seed = derive_seed(master_seed, StreamId(PILOT_STREAM_NAMESPACE ^ i));
+                self.run_stage(&mut ws, None, seed, CampaignMilestone::Rooted)
+            })
             .filter(|r| r.reached)
-            .map(|r| &r.checkpoint)
+            .map(|r| r.checkpoint)
             .collect();
         if rooted.is_empty() {
             return fallback("pilot saw zero Rooted survivors");
         }
 
-        let seeds2: Vec<u64> = (0..rooted.len() as u64)
-            .map(|i| {
-                derive_seed(
+        let to_goal: Vec<StageRun> = rooted
+            .iter()
+            .zip(0u64..)
+            .map(|(cp, i)| {
+                let seed = derive_seed(
                     master_seed,
                     StreamId(PILOT_STREAM_NAMESPACE ^ (1 << 40) ^ i),
-                )
+                );
+                self.run_stage(&mut ws, Some(cp), seed, CampaignMilestone::GoalReached)
             })
             .collect();
-        let froms2: Vec<Option<&CampaignCheckpoint>> = rooted.iter().map(|cp| Some(*cp)).collect();
-        let mut to_goal = Vec::with_capacity(rooted.len());
-        self.run_stage_batch(
-            &mut ws,
-            &froms2,
-            &seeds2,
-            CampaignMilestone::GoalReached,
-            &mut to_goal,
-        );
         let goal_hits = to_goal.iter().filter(|r| r.reached).count();
         if goal_hits == 0 {
             return fallback("no pilot trajectory reached the campaign goal");
@@ -2043,54 +1563,6 @@ pub struct PilotedMilestones {
     pub milestones: Vec<CampaignMilestone>,
     /// Pilot placement record (adaptive threshold or fallback reason).
     pub placement: MilestonePlacement,
-}
-
-/// [`BatchTask`] adapter over full campaign replications — the unit of
-/// work `Executor::run_ws_lockstep` schedules. Full-width lane groups
-/// run [`CampaignSimulator::run_batch_into`]; remainder lanes degrade
-/// to the scalar [`CampaignSimulator::run_into`] on lane 0. Both
-/// produce bit-identical [`CampaignStats`] per seed, so serial ≡
-/// parallel ≡ scalar holds by construction.
-#[derive(Debug, Clone, Copy)]
-pub struct CampaignBatchTask<'s, 'n> {
-    sim: &'s CampaignSimulator<'n>,
-}
-
-impl<'s, 'n> CampaignBatchTask<'s, 'n> {
-    /// Wraps `sim` for lockstep execution.
-    #[must_use]
-    pub fn new(sim: &'s CampaignSimulator<'n>) -> Self {
-        CampaignBatchTask { sim }
-    }
-}
-
-impl BatchTask for CampaignBatchTask<'_, '_> {
-    type Workspace = BatchedCampaignWorkspace;
-    type Output = CampaignStats;
-
-    fn workspace(&self) -> BatchedCampaignWorkspace {
-        self.sim.batched_workspace()
-    }
-
-    fn run_scalar(&self, ws: &mut BatchedCampaignWorkspace, rep: Replication) -> CampaignStats {
-        self.sim.run_into(ws.scalar_lane(), rep.seed)
-    }
-
-    fn run_batch(
-        &self,
-        ws: &mut BatchedCampaignWorkspace,
-        reps: &[Replication],
-        out: &mut Vec<CampaignStats>,
-    ) {
-        // The seed buffer lives in the workspace so steady-state
-        // batches stay allocation-free; take it out to sidestep the
-        // aliasing with `run_batch_into`'s workspace borrow.
-        let mut seeds = std::mem::take(&mut ws.seed_buf);
-        seeds.clear();
-        seeds.extend(reps.iter().map(|r| r.seed));
-        out.extend_from_slice(self.sim.run_batch_into(ws, &seeds));
-        ws.seed_buf = seeds;
-    }
 }
 
 #[cfg(test)]
@@ -2438,79 +1910,6 @@ mod tests {
             CampaignSimulator::new(&net, ThreatModel::stuxnet_like(), CampaignConfig::default());
         let o = sim.run(9);
         assert!(o.firewall_blocks > 0, "strict firewalls should log blocks");
-    }
-
-    #[test]
-    fn batched_matches_scalar_bit_for_bit_per_lane() {
-        let net = scope_network();
-        for threat in [
-            ThreatModel::stuxnet_like(),
-            ThreatModel::duqu_like(),
-            ThreatModel::flame_like(),
-        ] {
-            let sim = CampaignSimulator::new(&net, threat, CampaignConfig::default());
-            let mut scalar_ws = sim.workspace();
-            let mut batch_ws = sim.batched_workspace();
-            let seeds: Vec<u64> = (0..7u64).map(|s| s.wrapping_mul(0x9E37) ^ 0xC0DE).collect();
-            let batched = sim.run_batch_into(&mut batch_ws, &seeds).to_vec();
-            for (lane, &seed) in seeds.iter().enumerate() {
-                let scalar = sim.run_into(&mut scalar_ws, seed);
-                assert_eq!(batched[lane], scalar, "lane {lane}");
-                assert_eq!(
-                    batch_ws.lane(lane).ratio_curve(),
-                    scalar_ws.ratio_curve(),
-                    "lane {lane} curve"
-                );
-                assert_eq!(
-                    batch_ws.lane(lane).states(),
-                    scalar_ws.states(),
-                    "lane {lane} states"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batched_workspace_reuse_and_width_changes_do_not_leak() {
-        let net = scope_network();
-        let sim =
-            CampaignSimulator::new(&net, ThreatModel::stuxnet_like(), CampaignConfig::default());
-        let mut ws = sim.batched_workspace();
-        let first = sim.run_batch_into(&mut ws, &[42, 43, 44]).to_vec();
-        // Noisy intermediate batches at other widths…
-        let _ = sim.run_batch_into(&mut ws, &[9, 8, 7, 6, 5]);
-        let _ = sim.run_batch_into(&mut ws, &[1]);
-        // …and the original batch still reproduces exactly.
-        assert_eq!(sim.run_batch_into(&mut ws, &[42, 43, 44]), &first[..]);
-        // The empty batch is a no-op with empty stats.
-        assert!(sim.run_batch_into(&mut ws, &[]).is_empty());
-    }
-
-    #[test]
-    fn stage_batch_matches_scalar_stages_per_lane() {
-        let net = scope_network();
-        let sim =
-            CampaignSimulator::new(&net, ThreatModel::stuxnet_like(), CampaignConfig::default());
-        let mut ws = sim.workspace();
-        // Parents of mixed depths: a fresh lane, a rooted lane, and a
-        // spread lane — plus already-crossed-milestone lanes.
-        let rooted = sim
-            .run_stage(&mut ws, None, 11, CampaignMilestone::Rooted)
-            .checkpoint;
-        let spread = sim
-            .run_stage(&mut ws, None, 5, CampaignMilestone::SpreadAtLeast(3))
-            .checkpoint;
-        let froms = [None, Some(&rooted), Some(&spread), None];
-        let seeds = [101u64, 102, 103, 104];
-        let milestone = CampaignMilestone::SpreadAtLeast(2);
-        let mut batched = Vec::new();
-        let mut batch_ws = sim.batched_workspace();
-        sim.run_stage_batch(&mut batch_ws, &froms, &seeds, milestone, &mut batched);
-        assert_eq!(batched.len(), 4);
-        for (lane, (&seed, from)) in seeds.iter().zip(froms.iter()).enumerate() {
-            let scalar = sim.run_stage(&mut ws, *from, seed, milestone);
-            assert_eq!(batched[lane], scalar, "lane {lane}");
-        }
     }
 
     #[test]

@@ -22,8 +22,7 @@
 //! `(checkpoint, seed)`).
 
 use crate::campaign::{
-    BatchedCampaignWorkspace, CampaignCheckpoint, CampaignMilestone, CampaignSimulator,
-    MilestonePlacement,
+    CampaignCheckpoint, CampaignMilestone, CampaignSimulator, CampaignWorkspace, MilestonePlacement,
 };
 use crate::to_san::StageParams;
 use diversify_des::splitting::{LevelRun, StagedTask};
@@ -76,7 +75,7 @@ impl<'s, 'n> CampaignSplitTask<'s, 'n> {
     }
 
     /// Wraps `sim` with an adaptively placed schedule
-    /// ([`CampaignSimulator::split_milestones_piloted`]): a pilot batch
+    /// ([`CampaignSimulator::split_milestones_piloted`]): a pilot run
     /// estimates survivor fractions and tunes the spread threshold,
     /// falling back to the fixed schedule with a recorded reason when
     /// it cannot. Returns the task together with the placement record.
@@ -102,49 +101,29 @@ impl<'s, 'n> CampaignSplitTask<'s, 'n> {
 
 impl StagedTask for CampaignSplitTask<'_, '_> {
     type State = CampaignCheckpoint;
-    type Workspace = BatchedCampaignWorkspace;
+    type Workspace = CampaignWorkspace;
 
     fn levels(&self) -> usize {
         self.milestones.len()
     }
 
-    fn workspace(&self) -> BatchedCampaignWorkspace {
-        self.sim.batched_workspace()
+    fn workspace(&self) -> CampaignWorkspace {
+        self.sim.workspace()
     }
 
     fn run_level(
         &self,
-        ws: &mut BatchedCampaignWorkspace,
+        ws: &mut CampaignWorkspace,
         level: usize,
         from: Option<&CampaignCheckpoint>,
         seed: u64,
     ) -> LevelRun<CampaignCheckpoint> {
-        let run = self
-            .sim
-            .run_stage(ws.scalar_lane(), from, seed, self.milestones[level]);
+        let run = self.sim.run_stage(ws, from, seed, self.milestones[level]);
         LevelRun {
             state: run.checkpoint,
             reached: run.reached,
             ticks: u64::from(run.ticks),
         }
-    }
-
-    fn run_level_batch(
-        &self,
-        ws: &mut BatchedCampaignWorkspace,
-        level: usize,
-        froms: &[Option<&CampaignCheckpoint>],
-        seeds: &[u64],
-        out: &mut Vec<LevelRun<CampaignCheckpoint>>,
-    ) {
-        let mut runs = Vec::with_capacity(seeds.len());
-        self.sim
-            .run_stage_batch(ws, froms, seeds, self.milestones[level], &mut runs);
-        out.extend(runs.into_iter().map(|run| LevelRun {
-            state: run.checkpoint,
-            reached: run.reached,
-            ticks: u64::from(run.ticks),
-        }));
     }
 }
 
@@ -385,25 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn campaign_split_via_lockstep_matches_scalar() {
-        let net = scope_network();
-        let sim =
-            CampaignSimulator::new(&net, ThreatModel::stuxnet_like(), CampaignConfig::default());
-        let task = CampaignSplitTask::with_default_milestones(&sim);
-        let scalar = Splitting::try_new(96, 0xD1CE)
-            .unwrap()
-            .run(&task, &Executor::serial())
-            .unwrap();
-        for lanes in [4usize, 17] {
-            let sched = Splitting::try_new(96, 0xD1CE).unwrap().with_lockstep(lanes);
-            for exec in [Executor::serial(), Executor::parallel()] {
-                let run = sched.run(&task, &exec).unwrap();
-                assert_eq!(run, scalar, "{lanes} lanes");
-            }
-        }
-    }
-
-    #[test]
     fn piloted_task_keeps_goal_reached_terminal() {
         let net = scope_network();
         let sim =
@@ -420,7 +380,6 @@ mod tests {
         // The piloted schedule still estimates the same probability.
         let run = Splitting::try_new(256, 0xD1CE)
             .unwrap()
-            .with_lockstep(8)
             .run(&task, &Executor::serial())
             .unwrap();
         assert!(run.estimate > 0.0 && run.estimate <= 1.0);

@@ -214,60 +214,6 @@ fn bench_fleet_scaling(c: &mut Criterion) {
     g.finish();
 }
 
-/// Lockstep-batching axis: replications/s of the scalar `run_into` loop
-/// against the K-lane `run_batch_into` lockstep path over the *same*
-/// seed schedule, at SCoPE scale and on a generated 10^4-node plant
-/// family. Both paths produce bit-identical per-seed stats (guarded by
-/// `tests/lockstep_differential.rs`), so the ratio is pure per-tick
-/// amortization: one probability-table fill per batch against a catalog
-/// recomputation per draw. Headline recorded in `BENCH_8.json`.
-fn bench_lockstep(c: &mut Criterion) {
-    let mut g = c.benchmark_group("campaign_lockstep_throughput");
-    g.sample_size(10);
-    let campaign = CampaignConfig {
-        max_ticks: 24 * 30,
-        detection_stops_attack: false,
-    };
-    let scope_net = ScopeSystem::build(&ScopeConfig::default())
-        .network()
-        .clone();
-    let fleet = FleetSystem::build(&FleetConfig::sized(10_000, 0x5CA1E));
-    // Lane width per workload: SCoPE lanes are tiny, so one wide batch;
-    // a fleet campaign compromises ~half the 10^4-node plant, so each
-    // lane round-robins a ~100 KB working set per tick — 2-lane groups
-    // keep that L2-resident on the 1-core record host (wider groups
-    // measurably thrash; see examples/lockstep_probe.rs to re-sweep).
-    let workloads: [(&str, &diversify_scada::network::ScadaNetwork, u64, usize); 2] = [
-        ("scope", &scope_net, 64, 64),
-        ("fleet_10000", fleet.network(), 16, 2),
-    ];
-    for (label, net, reps, lanes) in workloads {
-        let sim = CampaignSimulator::new(net, ThreatModel::stuxnet_like(), campaign);
-        let seeds: Vec<u64> = (0..reps).map(|i| 0x10C5u64.wrapping_mul(i + 1)).collect();
-        println!(
-            "campaign_lockstep_{label}: {} nodes, {reps} replications/iteration, {lanes} lanes",
-            net.node_count()
-        );
-        let mut scalar_ws = sim.workspace();
-        g.bench_function(&format!("campaign_scalar_{label}"), |b| {
-            b.iter(|| {
-                for &seed in &seeds {
-                    black_box(sim.run_into(&mut scalar_ws, seed));
-                }
-            })
-        });
-        let mut batched_ws = sim.batched_workspace();
-        g.bench_function(&format!("campaign_lockstep_{label}"), |b| {
-            b.iter(|| {
-                for chunk in seeds.chunks(lanes) {
-                    black_box(sim.run_batch_into(&mut batched_ws, chunk));
-                }
-            })
-        });
-    }
-    g.finish();
-}
-
 /// Rare-event estimation cost: one multilevel-splitting pass over the
 /// all-exponential four-stage rare chain (P_SA ≈ 1e-7, the R11 design
 /// point) next to a brute-force batch of full-chain walks at a
@@ -349,7 +295,6 @@ criterion_group!(
     benches,
     bench_engine,
     bench_fleet_scaling,
-    bench_lockstep,
     bench_rare_event_splitting,
     bench_indicator_service
 );

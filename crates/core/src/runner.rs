@@ -375,18 +375,14 @@ pub fn measure_configuration_splitting(
 }
 
 /// Like [`measure_configuration_splitting`], but places the spread
-/// milestone adaptively from a lockstep pilot and runs every level
-/// population through the batched lockstep executor path.
+/// milestone adaptively from a pilot run.
 ///
 /// A pilot of `pilot_population` trajectories estimates the conditional
 /// survivor fractions past `Rooted` and places the `SpreadAtLeast`
 /// threshold to equalize conditional passage probabilities (falling
 /// back to the fixed heuristic with a recorded reason when the pilot is
-/// uninformative — see [`MilestonePlacement`]). Levels then execute
-/// `lockstep_lanes` replications per tick over SoA lane state; a lane
-/// count of 1 is the scalar path. Both knobs are pure cost/placement
-/// choices: for a given milestone schedule the estimate is bit-identical
-/// across lane counts and executors.
+/// uninformative — see [`MilestonePlacement`]). For a given milestone
+/// schedule the estimate is bit-identical across executors.
 ///
 /// # Errors
 ///
@@ -403,7 +399,6 @@ pub fn measure_configuration_splitting_adaptive(
     executor: Executor,
     level: f64,
     pilot_population: u32,
-    lockstep_lanes: usize,
 ) -> Result<SplittingMeasurements, PipelineError> {
     if !(0.0 < level && level < 1.0) {
         return Err(PipelineError::InvalidLevel(level));
@@ -412,9 +407,7 @@ pub fn measure_configuration_splitting_adaptive(
     let (task, placement) =
         CampaignSplitTask::with_piloted_milestones(&sim, pilot_population, master_seed);
     let milestones = task.milestones().to_vec();
-    let run = Splitting::try_new(population, master_seed)?
-        .with_lockstep(lockstep_lanes.max(1))
-        .run(&task, &executor)?;
+    let run = Splitting::try_new(population, master_seed)?.run(&task, &executor)?;
     let ci = product_proportion_ci(&run.conditionals(), level)?;
     Ok(SplittingMeasurements {
         estimate: run.estimate,
@@ -701,14 +694,14 @@ mod tests {
             max_ticks: 48,
             detection_stops_attack: true,
         };
-        let run = |executor, lanes| {
+        let run = |executor| {
             measure_configuration_splitting_adaptive(
-                &net, &threat, config, 256, 0xADA7, executor, 0.95, 64, lanes,
+                &net, &threat, config, 256, 0xADA7, executor, 0.95, 64,
             )
             .expect("valid configuration")
         };
 
-        let serial = run(Executor::serial(), 8);
+        let serial = run(Executor::serial());
         assert!(matches!(
             serial.placement,
             Some(MilestonePlacement::Piloted { .. } | MilestonePlacement::FixedFallback { .. })
@@ -720,17 +713,13 @@ mod tests {
         );
         assert!(serial.ci.lower <= serial.estimate && serial.estimate <= serial.ci.upper);
 
-        // Lane count and executor are pure cost knobs: the estimate,
-        // level record, and placement are bit-identical across them.
-        let parallel = run(Executor::parallel(), 8);
+        // The executor is a pure cost knob: the estimate, level
+        // record, and placement are bit-identical across executors.
+        let parallel = run(Executor::parallel());
         assert_eq!(serial.estimate.to_bits(), parallel.estimate.to_bits());
         assert_eq!(serial.levels, parallel.levels);
         assert_eq!(serial.placement, parallel.placement);
-
-        let scalar_lanes = run(Executor::serial(), 1);
-        assert_eq!(serial.estimate.to_bits(), scalar_lanes.estimate.to_bits());
-        assert_eq!(serial.levels, scalar_lanes.levels);
-        assert_eq!(serial.milestones, scalar_lanes.milestones);
+        assert_eq!(serial.milestones, parallel.milestones);
     }
 
     #[test]
@@ -746,7 +735,6 @@ mod tests {
                 Executor::serial(),
                 0.0,
                 16,
-                4,
             ),
             Err(PipelineError::InvalidLevel(_))
         ));

@@ -438,43 +438,6 @@ impl<T: Send> Collector<T> for VecCollector {
     }
 }
 
-/// A replication task that can advance a whole lane group in lockstep —
-/// the contract behind [`Executor::run_ws_lockstep`].
-///
-/// The defining invariant is **batched ≡ scalar per lane**: for any
-/// replication `r`, the output `run_batch` produces for `r`'s lane must
-/// be bit-identical to `run_scalar(ws, r)`, regardless of which other
-/// replications share the batch. Given that, every partition of a plan
-/// into lane groups — any lane width, any remainder handling, serial or
-/// parallel scheduling — produces identical per-replication outputs,
-/// which is what keeps the lockstep executor path inside the
-/// deterministic seed-schedule contract of [`Executor::run_ws`].
-pub trait BatchTask: Sync {
-    /// Reusable per-worker scratch state, holding the lane-major
-    /// buffers of up to one lane group.
-    type Workspace: Send;
-    /// One replication's output.
-    type Output: Send;
-
-    /// A fresh per-worker workspace.
-    fn workspace(&self) -> Self::Workspace;
-
-    /// Runs one replication on the scalar path — the degradation target
-    /// for remainder lanes.
-    fn run_scalar(&self, ws: &mut Self::Workspace, rep: Replication) -> Self::Output;
-
-    /// Advances every replication of `reps` simultaneously, one step at
-    /// a time, appending one output per replication to `out` in
-    /// replication order. Each lane must draw exactly the scalar
-    /// schedule for its seed.
-    fn run_batch(
-        &self,
-        ws: &mut Self::Workspace,
-        reps: &[Replication],
-        out: &mut Vec<Self::Output>,
-    );
-}
-
 /// A [`Collector`] computing the mean of scalar outputs in O(1) memory —
 /// the common case for quick probability estimates.
 #[derive(Debug, Clone, Copy, Default)]
@@ -1503,94 +1466,6 @@ impl Executor {
         }
     }
 
-    /// Runs every replication of `plan` through a lockstep
-    /// [`BatchTask`], partitioning each batch into groups of `lanes`
-    /// replications that advance simultaneously, and folds the outputs
-    /// with `collector`.
-    ///
-    /// Each batch splits into `⌈batch_size / lanes⌉` lane groups: full
-    /// groups run on [`BatchTask::run_batch`]; the remainder group (and
-    /// nothing else) degrades to [`BatchTask::run_scalar`], one
-    /// replication at a time. Because the task contract makes every
-    /// lane bit-identical to its scalar replication, the fold sees the
-    /// same per-replication outputs as [`Executor::run_ws`] on the
-    /// scalar task — so **serial ≡ parallel ≡ scalar** holds by
-    /// construction, for any lane width. A parallel executor schedules
-    /// lane groups (not single replications) across workers, each group
-    /// on a pooled workspace, and folds group outputs in replication
-    /// order.
-    ///
-    /// This is the strict path: a panicking replication propagates, as
-    /// with [`Executor::run_ws`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is zero.
-    pub fn run_ws_lockstep<B, C>(
-        &self,
-        plan: &ReplicationPlan,
-        task: &B,
-        lanes: usize,
-        collector: &C,
-    ) -> C::Output
-    where
-        B: BatchTask,
-        C: Collector<B::Output>,
-    {
-        assert!(lanes > 0, "lockstep execution requires at least one lane");
-        let lanes = u32::try_from(lanes).unwrap_or(u32::MAX);
-        let init = || task.workspace();
-        let pool = WorkspacePool::new(&init);
-        let mut acc = collector.empty();
-        for round in 0..plan.batches() {
-            let start = round * plan.batch_size();
-            let end = start + plan.batch_size();
-            let groups: Vec<Range<u32>> = (0..plan.batch_size().div_ceil(lanes))
-                .map(|g| {
-                    let lo = start + g * lanes;
-                    lo..(lo + lanes).min(end)
-                })
-                .collect();
-            let mut partial = collector.empty();
-            match self.mode {
-                ExecMode::Serial => pool.with(|ws| {
-                    let mut reps = Vec::with_capacity(lanes as usize);
-                    let mut out = Vec::with_capacity(lanes as usize);
-                    for group in &groups {
-                        out.clear();
-                        run_lane_group(plan, task, group.clone(), lanes, ws, &mut reps, &mut out);
-                        for (offset, value) in out.drain(..).enumerate() {
-                            let rep = plan.replication(group.start + offset as u32);
-                            collector.accumulate(plan, &mut partial, rep, value);
-                        }
-                    }
-                }),
-                ExecMode::Parallel => {
-                    let outputs: Vec<Vec<B::Output>> = groups
-                        .clone()
-                        .into_par_iter()
-                        .map(|group| {
-                            pool.with(|ws| {
-                                let mut reps = Vec::with_capacity(lanes as usize);
-                                let mut out = Vec::with_capacity(lanes as usize);
-                                run_lane_group(plan, task, group, lanes, ws, &mut reps, &mut out);
-                                out
-                            })
-                        })
-                        .collect();
-                    for (group, out) in groups.iter().zip(outputs) {
-                        for (offset, value) in out.into_iter().enumerate() {
-                            let rep = plan.replication(group.start + offset as u32);
-                            collector.accumulate(plan, &mut partial, rep, value);
-                        }
-                    }
-                }
-            }
-            collector.merge(&mut acc, partial);
-        }
-        collector.finish(plan, acc)
-    }
-
     /// Runs `plan` under a [`RunPolicy`], isolating panics and bounding
     /// work, and returns a gracefully degraded [`PartialRun`] instead
     /// of propagating failures.
@@ -1803,31 +1678,6 @@ impl Executor {
         self.run_adaptive_ft(
             plan, rule, init, task, collector, monitor, policy, validate, false,
         )
-    }
-}
-
-/// Executes one lane group of a lockstep run: a full group (exactly
-/// `lanes` replications) goes through [`BatchTask::run_batch`]; a
-/// remainder group degrades to the scalar path, one replication at a
-/// time. Outputs land in `out` in replication order either way.
-fn run_lane_group<B: BatchTask>(
-    plan: &ReplicationPlan,
-    task: &B,
-    group: Range<u32>,
-    lanes: u32,
-    ws: &mut B::Workspace,
-    reps: &mut Vec<Replication>,
-    out: &mut Vec<B::Output>,
-) {
-    if group.len() == lanes as usize {
-        reps.clear();
-        reps.extend(group.map(|i| plan.replication(i)));
-        task.run_batch(ws, reps, out);
-    } else {
-        for i in group {
-            let value = task.run_scalar(ws, plan.replication(i));
-            out.push(value);
-        }
     }
 }
 
@@ -2589,75 +2439,6 @@ mod tests {
             },
             &VecCollector,
         );
-    }
-
-    /// A lockstep task whose per-replication output is a short RNG walk
-    /// from the replication seed. `run_batch` advances all lanes one
-    /// draw at a time (genuinely interleaved), so per-lane bit-identity
-    /// with the scalar path is exercised, not just delegated.
-    struct WalkBatch;
-
-    impl WalkBatch {
-        const STEPS: usize = 16;
-    }
-
-    impl BatchTask for WalkBatch {
-        type Workspace = Vec<u64>;
-        type Output = u64;
-
-        fn workspace(&self) -> Vec<u64> {
-            Vec::new()
-        }
-
-        fn run_scalar(&self, _ws: &mut Vec<u64>, rep: Replication) -> u64 {
-            let mut rng = RngStream::new(rep.seed, StreamId(0x10C5));
-            (0..Self::STEPS).fold(0u64, |acc, i| {
-                acc ^ rng.uniform().to_bits().rotate_left(7) ^ rng.index(11 + i) as u64
-            })
-        }
-
-        fn run_batch(&self, ws: &mut Vec<u64>, reps: &[Replication], out: &mut Vec<u64>) {
-            let mut lanes = crate::rng::RngLanes::new();
-            ws.clear();
-            ws.extend(reps.iter().map(|r| r.seed));
-            lanes.reseed(ws, StreamId(0x10C5));
-            let mut accs = vec![0u64; reps.len()];
-            for i in 0..Self::STEPS {
-                for (lane, acc) in accs.iter_mut().enumerate() {
-                    *acc ^= lanes.uniform(lane).to_bits().rotate_left(7)
-                        ^ lanes.index(lane, 11 + i) as u64;
-                }
-            }
-            out.extend_from_slice(&accs);
-        }
-    }
-
-    #[test]
-    fn lockstep_matches_scalar_across_modes_and_widths() {
-        let plan = ReplicationPlan::new(3, 17, 0xBA7C).with_namespace(0xAB_0000);
-        let scalar: Vec<u64> = Executor::serial().run_ws(
-            &plan,
-            Vec::new,
-            |ws: &mut Vec<u64>, rep| WalkBatch.run_scalar(ws, rep),
-            &VecCollector,
-        );
-        // Widths below, at, and above the batch size, including ones
-        // leaving remainder groups of every size.
-        for lanes in [1usize, 2, 3, 5, 8, 16, 17, 32] {
-            let serial =
-                Executor::serial().run_ws_lockstep(&plan, &WalkBatch, lanes, &VecCollector);
-            let parallel =
-                Executor::parallel().run_ws_lockstep(&plan, &WalkBatch, lanes, &VecCollector);
-            assert_eq!(serial, scalar, "serial lockstep, {lanes} lanes");
-            assert_eq!(parallel, scalar, "parallel lockstep, {lanes} lanes");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one lane")]
-    fn lockstep_rejects_zero_lanes() {
-        let plan = ReplicationPlan::flat(4, 1);
-        let _ = Executor::serial().run_ws_lockstep(&plan, &WalkBatch, 0, &VecCollector);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! # diversify-des
 //!
-//! A deterministic discrete-event simulation (DES) kernel.
-//!
-//! This crate is the bottom-most substrate of the *Diversify!* (DSN 2013)
-//! reproduction. Every stochastic model in the workspace — the stochastic
-//! activity network solver in `diversify-san`, the SCADA plant simulator in
-//! `diversify-scada`, and the attack-campaign engine in `diversify-attack` —
-//! advances virtual time through the [`Engine`] defined here.
+//! A deterministic simulation kernel: the calendar, random streams,
+//! replication executor, rare-event splitting and fault harness that the
+//! rest of the *Diversify!* (DSN 2013) reproduction builds on. The
+//! stochastic activity network solver in `diversify-san` schedules its
+//! activities on the [`Calendar`]; the attack-campaign engine in
+//! `diversify-attack` draws from [`RngStream`]s and runs its
+//! replications on the [`Executor`].
 //!
 //! ## Design
 //!
@@ -18,8 +18,6 @@
 //! * **Deterministic randomness** — [`RngStream`]s derived from a single
 //!   master seed with SplitMix64 so independent model components draw from
 //!   independent, reproducible streams.
-//! * **Stop conditions** — [`StopCondition`] values compose limits on time
-//!   and event count.
 //! * **Observation** — [`Welford`] and [`TimeWeighted`] accumulators plus a
 //!   [`ReplicationRunner`] for independent-replication experiments.
 //! * **Execution** — the [`exec`] layer: a [`ReplicationPlan`] describing
@@ -46,30 +44,35 @@
 //!
 //! ## Example
 //!
+//! A small event-driven model — arrivals on the calendar at
+//! exponential gaps — replicated on the executor. Each replication
+//! draws from its own seed, so the serial and parallel runs agree.
+//!
 //! ```
-//! use diversify_des::{Engine, Model, Context, SimTime};
+//! use diversify_des::{Calendar, Executor, ReplicationPlan, RngStream, SimTime, StreamId};
 //!
-//! /// A counter that re-schedules itself every second, five times.
-//! struct Ticker { ticks: u32 }
-//!
-//! #[derive(Debug, Clone, PartialEq)]
-//! enum Ev { Tick }
-//!
-//! impl Model for Ticker {
-//!     type Event = Ev;
-//!     fn handle(&mut self, ctx: &mut Context<Ev>, _ev: Ev) {
-//!         self.ticks += 1;
-//!         if self.ticks < 5 {
-//!             ctx.schedule_in(SimTime::from_secs(1.0), Ev::Tick);
+//! /// Arrivals within the first ten hours of one replication.
+//! fn arrivals(seed: u64) -> u32 {
+//!     let mut rng = RngStream::new(seed, StreamId(1));
+//!     let horizon = SimTime::from_hours(10.0);
+//!     let mut calendar = Calendar::new();
+//!     calendar.push(SimTime::from_hours(rng.exponential(1.0)), ());
+//!     let mut count = 0;
+//!     while let Some((now, ())) = calendar.pop() {
+//!         if now > horizon {
+//!             break;
 //!         }
+//!         count += 1;
+//!         calendar.push(now + SimTime::from_hours(rng.exponential(1.0)), ());
 //!     }
+//!     count
 //! }
 //!
-//! let mut engine = Engine::new(Ticker { ticks: 0 }, 42);
-//! engine.schedule_at(SimTime::ZERO, Ev::Tick);
-//! engine.run();
-//! assert_eq!(engine.model().ticks, 5);
-//! assert_eq!(engine.now(), SimTime::from_secs(4.0));
+//! let plan = ReplicationPlan::flat(32, 42);
+//! let serial: Vec<u32> = Executor::serial().run(&plan, |rep| arrivals(rep.seed));
+//! let parallel: Vec<u32> = Executor::parallel().run(&plan, |rep| arrivals(rep.seed));
+//! assert_eq!(serial, parallel);
+//! assert!(serial.iter().any(|&n| n > 0));
 //! ```
 
 #![warn(missing_docs)]
@@ -78,30 +81,25 @@
 #![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 pub mod calendar;
-pub mod engine;
 pub mod exec;
 pub mod faults;
 pub mod observe;
 pub mod replication;
 pub mod rng;
 pub mod splitting;
-pub mod stop;
 pub mod time;
 
 pub use calendar::{Calendar, EventToken};
-pub use engine::RunOutcome;
-pub use engine::{Context, Engine, Model};
 pub use exec::{
-    AdaptiveRun, BatchTask, Budget, BudgetOutcome, CancelToken, Collector, ExecMode, Executor,
-    FailureCause, PartialRun, PlanError, Precision, Replication, ReplicationFailure,
-    ReplicationPlan, Reseed, RetryPolicy, RunPolicy, StopRule,
+    AdaptiveRun, Budget, BudgetOutcome, CancelToken, Collector, ExecMode, Executor, FailureCause,
+    PartialRun, PlanError, Precision, Replication, ReplicationFailure, ReplicationPlan, Reseed,
+    RetryPolicy, RunPolicy, StopRule,
 };
 pub use faults::{FaultKind, FaultPlan, InjectedPanic};
 pub use observe::{TimeWeighted, Welford};
 pub use replication::{ReplicationRunner, ReplicationSummary};
-pub use rng::{derive_seed, LaneState, RngLanes, RngStream, StreamId};
+pub use rng::{derive_seed, RngStream, StreamId};
 pub use splitting::{
     LevelRun, LevelSummary, Splitting, SplittingRun, StagedTask, SPLITTING_STREAM_NAMESPACE,
 };
-pub use stop::StopCondition;
 pub use time::SimTime;

@@ -251,219 +251,6 @@ impl RngStream {
     }
 }
 
-/// A K-wide structure-of-arrays block of xoshiro256++ lane states — the
-/// RNG substrate of the batched lockstep replication path.
-///
-/// Lane `l` seeded with `(master_l, id)` produces **exactly** the draw
-/// sequence of `RngStream::new(master_l, id)`: the same SplitMix64 seed
-/// expansion, the same xoshiro256++ step, the same
-/// uniform/Bernoulli/index constructions. That per-lane bit-identity is
-/// what lets a lockstep batch of K replications reproduce K scalar
-/// replications draw for draw while the four state words advance over
-/// stride-friendly arrays.
-#[derive(Debug, Clone, Default)]
-pub struct RngLanes {
-    s0: Vec<u64>,
-    s1: Vec<u64>,
-    s2: Vec<u64>,
-    s3: Vec<u64>,
-}
-
-impl RngLanes {
-    /// An empty block; lanes are laid out by [`RngLanes::reseed`].
-    #[must_use]
-    pub fn new() -> Self {
-        RngLanes::default()
-    }
-
-    /// The number of lanes currently laid out.
-    #[must_use]
-    pub fn lanes(&self) -> usize {
-        self.s0.len()
-    }
-
-    /// Reseeds the block with one lane per master seed, every lane on
-    /// the stream identified by `id`. Reuses the state buffers, so in
-    /// the steady state (capacity ≥ `masters.len()`) reseeding
-    /// allocates nothing.
-    pub fn reseed(&mut self, masters: &[u64], id: StreamId) {
-        self.s0.clear();
-        self.s1.clear();
-        self.s2.clear();
-        self.s3.clear();
-        for &master in masters {
-            // SmallRng::seed_from_u64: four SplitMix64 draws from the
-            // derived seed, with the all-zero degenerate state mapped to
-            // the SplitMix64 increment (matching the vendored shim).
-            let mut state = derive_seed(master, id);
-            let mut s = [0u64; 4];
-            for slot in &mut s {
-                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                *slot = z ^ (z >> 31);
-            }
-            if s == [0, 0, 0, 0] {
-                s[0] = 0x9E37_79B9_7F4A_7C15;
-            }
-            self.s0.push(s[0]);
-            self.s1.push(s[1]);
-            self.s2.push(s[2]);
-            self.s3.push(s[3]);
-        }
-    }
-
-    /// Advances lane `lane` one xoshiro256++ step.
-    ///
-    /// # Panics
-    ///
-    /// Panics (by slice indexing) if `lane` is out of range.
-    pub fn next_u64(&mut self, lane: usize) -> u64 {
-        let result = self.s0[lane]
-            .wrapping_add(self.s3[lane])
-            .rotate_left(23)
-            .wrapping_add(self.s0[lane]);
-        let t = self.s1[lane] << 17;
-        self.s2[lane] ^= self.s0[lane];
-        self.s3[lane] ^= self.s1[lane];
-        self.s1[lane] ^= self.s2[lane];
-        self.s0[lane] ^= self.s3[lane];
-        self.s2[lane] ^= t;
-        self.s3[lane] = self.s3[lane].rotate_left(45);
-        result
-    }
-
-    /// Draws a uniform value in `[0, 1)` on `lane` — the same 53-bit
-    /// mantissa construction as [`RngStream::uniform`].
-    pub fn uniform(&mut self, lane: usize) -> f64 {
-        (self.next_u64(lane) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// Returns `true` with probability `p` on `lane` (clamped to
-    /// `[0,1]`), consuming draws exactly as [`RngStream::bernoulli`].
-    pub fn bernoulli(&mut self, lane: usize, p: f64) -> bool {
-        if p <= 0.0 {
-            false
-        } else if p >= 1.0 {
-            true
-        } else {
-            self.uniform(lane) < p
-        }
-    }
-
-    /// Draws an integer uniformly from `0..n` on `lane` — the same
-    /// rejection sampling as [`RngStream::index`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn index(&mut self, lane: usize, n: usize) -> usize {
-        assert!(n > 0, "index requires non-empty range");
-        let n64 = n as u64;
-        let zone = u64::MAX - (u64::MAX % n64);
-        loop {
-            let v = self.next_u64(lane);
-            if v < zone {
-                return (v % n64) as usize;
-            }
-        }
-    }
-
-    /// Copies lane `lane`'s four state words onto the stack as a
-    /// [`LaneState`], so a run of draws steps in registers instead of
-    /// through four bounds-checked `Vec` accesses each. Pair with
-    /// [`RngLanes::commit`] to write the advanced state back; the draw
-    /// sequence is identical either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics (by slice indexing) if `lane` is out of range.
-    #[must_use]
-    pub fn checkout(&self, lane: usize) -> LaneState {
-        LaneState {
-            s: [self.s0[lane], self.s1[lane], self.s2[lane], self.s3[lane]],
-        }
-    }
-
-    /// Writes a checked-out [`LaneState`] back into lane `lane`.
-    ///
-    /// # Panics
-    ///
-    /// Panics (by slice indexing) if `lane` is out of range.
-    pub fn commit(&mut self, lane: usize, state: LaneState) {
-        self.s0[lane] = state.s[0];
-        self.s1[lane] = state.s[1];
-        self.s2[lane] = state.s[2];
-        self.s3[lane] = state.s[3];
-    }
-}
-
-/// One lane's xoshiro256++ state checked out of an [`RngLanes`] block
-/// onto the stack ([`RngLanes::checkout`] / [`RngLanes::commit`]).
-/// Draw-for-draw identical to the in-block methods and to
-/// [`RngStream`]; existing so the lockstep inner loop pays register
-/// arithmetic, not per-draw memory traffic.
-#[derive(Debug, Clone, Copy)]
-pub struct LaneState {
-    s: [u64; 4],
-}
-
-impl LaneState {
-    /// Advances one xoshiro256++ step.
-    #[inline]
-    pub fn next_u64(&mut self) -> u64 {
-        let [s0, s1, s2, s3] = &mut self.s;
-        let result = s0.wrapping_add(*s3).rotate_left(23).wrapping_add(*s0);
-        let t = *s1 << 17;
-        *s2 ^= *s0;
-        *s3 ^= *s1;
-        *s1 ^= *s2;
-        *s0 ^= *s3;
-        *s2 ^= t;
-        *s3 = s3.rotate_left(45);
-        result
-    }
-
-    /// Uniform in `[0, 1)` — the [`RngStream::uniform`] construction.
-    #[inline]
-    pub fn uniform(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
-    /// `true` with probability `p`, consuming draws exactly as
-    /// [`RngStream::bernoulli`].
-    #[inline]
-    pub fn bernoulli(&mut self, p: f64) -> bool {
-        if p <= 0.0 {
-            false
-        } else if p >= 1.0 {
-            true
-        } else {
-            self.uniform() < p
-        }
-    }
-
-    /// Uniform integer in `0..n` — the [`RngStream::index`] rejection
-    /// sampling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    #[inline]
-    pub fn index(&mut self, n: usize) -> usize {
-        assert!(n > 0, "index requires non-empty range");
-        let n64 = n as u64;
-        let zone = u64::MAX - (u64::MAX % n64);
-        loop {
-            let v = self.next_u64();
-            if v < zone {
-                return (v % n64) as usize;
-            }
-        }
-    }
-}
-
 impl RngCore for RngStream {
     fn next_u32(&mut self) -> u32 {
         self.rng.next_u32()
@@ -614,56 +401,6 @@ mod tests {
             // Draw schedules stay aligned afterwards.
             assert_eq!(a.next_u64(), b.next_u64());
         }
-    }
-
-    #[test]
-    fn rng_lanes_match_scalar_streams_bit_for_bit() {
-        let masters = [0u64, 7, 0xDEAD_BEEF, u64::MAX];
-        let id = StreamId(0xA77);
-        let mut lanes = RngLanes::new();
-        lanes.reseed(&masters, id);
-        assert_eq!(lanes.lanes(), masters.len());
-        let mut scalars: Vec<RngStream> = masters.iter().map(|&m| RngStream::new(m, id)).collect();
-        // Interleave lane draws in an adversarial order: per-lane
-        // sequences must still match the scalar streams exactly.
-        for round in 0..200 {
-            for lane in 0..masters.len() {
-                let l = (lane + round) % masters.len();
-                match round % 3 {
-                    0 => assert_eq!(lanes.next_u64(l), scalars[l].next_u64()),
-                    1 => assert_eq!(lanes.uniform(l).to_bits(), scalars[l].uniform().to_bits()),
-                    _ => assert_eq!(lanes.index(l, 17), scalars[l].index(17)),
-                }
-            }
-        }
-        for (l, scalar) in scalars.iter_mut().enumerate() {
-            assert_eq!(lanes.bernoulli(l, 0.4), scalar.bernoulli(0.4));
-            assert_eq!(lanes.bernoulli(l, 0.0), scalar.bernoulli(0.0));
-            assert_eq!(lanes.bernoulli(l, 1.0), scalar.bernoulli(1.0));
-        }
-    }
-
-    #[test]
-    fn rng_lanes_reseed_reuses_capacity() {
-        let mut lanes = RngLanes::new();
-        lanes.reseed(&[1, 2, 3, 4], StreamId(9));
-        let cap = (
-            lanes.s0.capacity(),
-            lanes.s1.capacity(),
-            lanes.s2.capacity(),
-            lanes.s3.capacity(),
-        );
-        lanes.reseed(&[5, 6], StreamId(9));
-        assert_eq!(lanes.lanes(), 2);
-        assert_eq!(
-            (
-                lanes.s0.capacity(),
-                lanes.s1.capacity(),
-                lanes.s2.capacity(),
-                lanes.s3.capacity(),
-            ),
-            cap
-        );
     }
 
     #[test]

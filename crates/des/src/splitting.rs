@@ -32,9 +32,7 @@
 //! master seed and the level structure, never of scheduling. A parallel
 //! run is therefore bit-identical to a serial one.
 
-use crate::exec::{
-    BatchTask, ExecMode, Executor, PlanError, Replication, ReplicationPlan, VecCollector,
-};
+use crate::exec::{ExecMode, Executor, PlanError, ReplicationPlan, VecCollector};
 
 /// The default stream namespace splitting plans derive their seeds
 /// under (disjoint from the fixed/adaptive campaign namespaces, so a
@@ -95,75 +93,6 @@ pub trait StagedTask: Sync {
         from: Option<&Self::State>,
         seed: u64,
     ) -> LevelRun<Self::State>;
-
-    /// Advances a whole lane group across `level`: one replication per
-    /// `(froms[i], seeds[i])` pair, appended to `out` in order. The
-    /// default is the scalar loop over [`StagedTask::run_level`];
-    /// implementations with a lockstep engine override it, and any
-    /// override must stay bit-identical to the scalar loop per lane —
-    /// that is what lets [`Splitting`] route level populations through
-    /// `Executor::run_ws_lockstep` without perturbing the estimator.
-    fn run_level_batch(
-        &self,
-        ws: &mut Self::Workspace,
-        level: usize,
-        froms: &[Option<&Self::State>],
-        seeds: &[u64],
-        out: &mut Vec<LevelRun<Self::State>>,
-    ) {
-        debug_assert_eq!(froms.len(), seeds.len(), "one parent slot per seed");
-        for (from, &seed) in froms.iter().zip(seeds) {
-            out.push(self.run_level(ws, level, *from, seed));
-        }
-    }
-}
-
-/// [`BatchTask`] adapter running one splitting level's population
-/// through the lockstep executor: scalar units resolve their parent and
-/// call [`StagedTask::run_level`]; full-width lane groups gather
-/// parents and seeds and call [`StagedTask::run_level_batch`]. Parent
-/// lookup (`index mod parents.len()`) is identical on both paths, so
-/// lockstep ≡ scalar holds whenever the task's batch override does.
-struct LevelBatch<'a, T: StagedTask> {
-    task: &'a T,
-    level: usize,
-    parents: &'a [T::State],
-}
-
-impl<T: StagedTask> LevelBatch<'_, T> {
-    fn parent(&self, index: u32) -> Option<&T::State> {
-        if self.parents.is_empty() {
-            None
-        } else {
-            Some(&self.parents[index as usize % self.parents.len()])
-        }
-    }
-}
-
-impl<T: StagedTask> BatchTask for LevelBatch<'_, T> {
-    type Workspace = T::Workspace;
-    type Output = LevelRun<T::State>;
-
-    fn workspace(&self) -> T::Workspace {
-        self.task.workspace()
-    }
-
-    fn run_scalar(&self, ws: &mut T::Workspace, rep: Replication) -> LevelRun<T::State> {
-        self.task
-            .run_level(ws, self.level, self.parent(rep.index), rep.seed)
-    }
-
-    fn run_batch(
-        &self,
-        ws: &mut T::Workspace,
-        reps: &[Replication],
-        out: &mut Vec<LevelRun<T::State>>,
-    ) {
-        let froms: Vec<Option<&T::State>> = reps.iter().map(|r| self.parent(r.index)).collect();
-        let seeds: Vec<u64> = reps.iter().map(|r| r.seed).collect();
-        self.task
-            .run_level_batch(ws, self.level, &froms, &seeds, out);
-    }
 }
 
 /// Per-level tally of a splitting run: the conditional-probability
@@ -233,9 +162,6 @@ pub struct Splitting {
     population: u32,
     master_seed: u64,
     namespace: u64,
-    /// Lockstep lane width for level execution; `< 2` keeps the scalar
-    /// per-replication path.
-    lockstep_lanes: usize,
 }
 
 impl Splitting {
@@ -252,7 +178,6 @@ impl Splitting {
             population,
             master_seed,
             namespace: SPLITTING_STREAM_NAMESPACE,
-            lockstep_lanes: 1,
         })
     }
 
@@ -261,19 +186,6 @@ impl Splitting {
     #[must_use]
     pub const fn with_namespace(mut self, namespace: u64) -> Self {
         self.namespace = namespace;
-        self
-    }
-
-    /// Routes each level's population through the lockstep executor
-    /// path (`Executor::run_ws_lockstep`) in lane groups of `lanes` —
-    /// the level population is a natural batch, so tasks with a batched
-    /// [`StagedTask::run_level_batch`] amortize shared state across
-    /// lanes. `lanes < 2` keeps the scalar path. Results are
-    /// bit-identical either way (the lockstep invariant), so this is
-    /// purely a throughput knob.
-    #[must_use]
-    pub const fn with_lockstep(mut self, lanes: usize) -> Self {
-        self.lockstep_lanes = lanes;
         self
     }
 
@@ -309,32 +221,19 @@ impl Splitting {
             let plan = ReplicationPlan::try_flat(self.population, self.master_seed)?
                 .with_namespace(level_namespace(self.namespace, level));
             let parents = std::mem::take(&mut survivors);
-            let runs: Vec<LevelRun<T::State>> = if self.lockstep_lanes > 1 {
-                executor.run_ws_lockstep(
-                    &plan,
-                    &LevelBatch {
-                        task,
-                        level,
-                        parents: &parents,
-                    },
-                    self.lockstep_lanes,
-                    &VecCollector,
-                )
-            } else {
-                executor.run_ws(
-                    &plan,
-                    || task.workspace(),
-                    |ws, rep| {
-                        let from = if parents.is_empty() {
-                            None
-                        } else {
-                            Some(&parents[rep.index as usize % parents.len()])
-                        };
-                        task.run_level(ws, level, from, rep.seed)
-                    },
-                    &VecCollector,
-                )
-            };
+            let runs: Vec<LevelRun<T::State>> = executor.run_ws(
+                &plan,
+                || task.workspace(),
+                |ws, rep| {
+                    let from = if parents.is_empty() {
+                        None
+                    } else {
+                        Some(&parents[rep.index as usize % parents.len()])
+                    };
+                    task.run_level(ws, level, from, rep.seed)
+                },
+                &VecCollector,
+            );
             let ticks: u64 = runs.iter().map(|r| r.ticks).sum();
             total_ticks += ticks;
             survivors = runs
@@ -488,28 +387,6 @@ mod tests {
             a.run(&task, &exec).unwrap().conditionals(),
             b.run(&task, &exec).unwrap().conditionals()
         );
-    }
-
-    #[test]
-    fn lockstep_levels_match_scalar_levels_bit_for_bit() {
-        let task = CoinChain {
-            p: vec![0.5, 0.4, 0.6],
-        };
-        let scalar = Splitting::try_new(257, 0xBA7C)
-            .unwrap()
-            .run(&task, &Executor::serial())
-            .unwrap();
-        // Widths with and without remainder lanes, serial and parallel.
-        for lanes in [2usize, 8, 64, 300] {
-            let sched = Splitting::try_new(257, 0xBA7C)
-                .unwrap()
-                .with_lockstep(lanes);
-            for exec in [Executor::serial(), Executor::parallel()] {
-                let run = sched.run(&task, &exec).unwrap();
-                assert_eq!(run, scalar, "{lanes} lanes");
-                assert_eq!(run.estimate.to_bits(), scalar.estimate.to_bits());
-            }
-        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! per-tick ratio curve, same scalar stats. This suite checks that over
 //! the hand-built SCoPE network and randomized generated fleets.
 
-use diversify::attack::campaign::{CampaignConfig, CampaignSimulator, ThreatModel};
+use diversify::attack::campaign::{AttackGoal, CampaignConfig, CampaignSimulator, ThreatModel};
 use diversify::scada::fleet::{FleetConfig, FleetSystem};
 use diversify::scada::network::ScadaNetwork;
 use diversify::scada::scope::{ScopeConfig, ScopeSystem};
@@ -51,20 +51,31 @@ fn assert_paths_agree(
     }
 }
 
+/// With `detection_stops_attack`, a detection inside the drained tail
+/// halts the replication there, so both settings are covered. The
+/// half-year exfiltration window keeps the goal out of reach long after
+/// SCoPE has drained, so detection lands in the drained tail before the
+/// goal and the halt changes the trajectory.
 #[test]
 fn frontier_matches_reference_on_scope_network() {
     let net = scope_network();
-    for threat in [
-        ThreatModel::stuxnet_like(),
-        ThreatModel::duqu_like(),
-        ThreatModel::flame_like(),
-    ] {
-        assert_paths_agree(
-            &net,
-            threat,
-            CampaignConfig::default(),
-            &(0..20).collect::<Vec<_>>(),
-        );
+    let slow_exfiltration = ThreatModel {
+        goal: AttackGoal::Exfiltrate { ticks: 24 * 180 },
+        ..ThreatModel::duqu_like()
+    };
+    for detection_stops_attack in [false, true] {
+        let config = CampaignConfig {
+            detection_stops_attack,
+            ..CampaignConfig::default()
+        };
+        for threat in [
+            ThreatModel::stuxnet_like(),
+            ThreatModel::duqu_like(),
+            ThreatModel::flame_like(),
+            slow_exfiltration.clone(),
+        ] {
+            assert_paths_agree(&net, threat, config, &(0..20).collect::<Vec<_>>());
+        }
     }
 }
 

@@ -177,8 +177,8 @@ fn campaign_splitting_is_bit_identical_across_executors_and_runs() {
 
 /// Pins the piloted splitting measurement on SCoPE: pilot draws,
 /// milestone placement, per-level tallies and tick cost. The values
-/// were recorded with the batched pilot and level engine, so any
-/// change in how the pilot or the levels draw shows up here.
+/// were recorded with an earlier, batched implementation of the pilot
+/// and the levels, so any change in how either draws shows up here.
 #[test]
 fn piloted_campaign_splitting_is_pinned() {
     let net = ScopeSystem::build(&ScopeConfig::default())
@@ -197,7 +197,6 @@ fn piloted_campaign_splitting_is_pinned() {
         Executor::serial(),
         0.95,
         32,
-        8,
     )
     .unwrap();
     assert_eq!(run.estimate.to_bits(), 0x3fee_0000_0000_0000); // 0.9375

@@ -25,24 +25,41 @@ use diversify::san::{Engine, SimState, Simulator};
 use diversify::scada::network::ScadaNetwork;
 use diversify::scada::scope::{ScopeConfig, ScopeSystem};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counts every allocation and reallocation routed through the global
-/// allocator. Deallocations are not counted: the property under test is
-/// "no new memory is requested", which `alloc`/`realloc` alone witness.
+/// allocator, per thread. Deallocations are not counted: the property
+/// under test is "no new memory is requested", which `alloc`/`realloc`
+/// alone witness.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Counting per thread keeps
+    /// the test harness's own threads — which set up the next test while
+    /// another test's window is open — out of every measurement. Every
+    /// measured loop below runs on its test's thread (`Executor::serial()`
+    /// included); a measured loop on another thread would need this
+    /// target to run with `harness = false` and a process-wide count.
+    /// The `const` initializer never allocates and registers no
+    /// destructor, so the allocator can touch it at any time.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` only fails during thread teardown, after the last
+    // measured window of that thread has closed.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 
@@ -54,22 +71,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocations the current thread has made so far.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
-
-/// The counter is process-global, but libtest runs tests on parallel
-/// threads — a sibling test allocating inside another test's measured
-/// window would fail it spuriously. Every test takes this lock around
-/// its whole body so measured windows never overlap.
-static MEASURE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn measured() -> std::sync::MutexGuard<'static, ()> {
-    // A poisoned lock only means another test failed; measuring is
-    // still sound.
-    MEASURE
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+    ALLOCATIONS.with(Cell::get)
 }
 
 fn scope_network() -> ScadaNetwork {
@@ -83,7 +87,6 @@ fn scope_network() -> ScadaNetwork {
 /// allocate at all.
 #[test]
 fn campaign_replications_are_allocation_free_after_warmup() {
-    let _guard = measured();
     let net = scope_network();
     let seeds: Vec<u64> = (0..25).collect();
     for threat in [ThreatModel::stuxnet_like(), ThreatModel::duqu_like()] {
@@ -110,7 +113,6 @@ fn campaign_replications_are_allocation_free_after_warmup() {
 /// steady state too — sizing is part of warm-up, not of the loop.
 #[test]
 fn lazily_sized_workspace_stops_allocating_once_warm() {
-    let _guard = measured();
     let net = scope_network();
     let sim = CampaignSimulator::new(&net, ThreatModel::stuxnet_like(), CampaignConfig::default());
     let mut ws = CampaignWorkspace::new();
@@ -124,35 +126,6 @@ fn lazily_sized_workspace_stops_allocating_once_warm() {
     assert_eq!(allocations() - before, 0);
 }
 
-/// The lockstep batch loop: after one warm-up batch sizes the lanes,
-/// the probability tables and the SoA RNG blocks, re-running batches of
-/// the same width through the same [`BatchedCampaignWorkspace`] must
-/// not allocate — per-batch cost is table refill plus lane stepping,
-/// all over reused capacity.
-#[test]
-fn lockstep_batches_are_allocation_free_after_warmup() {
-    use diversify::attack::campaign::BatchedCampaignWorkspace;
-    let _guard = measured();
-    let net = scope_network();
-    let seeds: Vec<u64> = (0..16).map(|i| 0xBA7C ^ (i * 0x9E37)).collect();
-    for threat in [ThreatModel::stuxnet_like(), ThreatModel::duqu_like()] {
-        let sim = CampaignSimulator::new(&net, threat, CampaignConfig::default());
-        let mut ws = BatchedCampaignWorkspace::new();
-        black_box(sim.run_batch_into(&mut ws, &seeds));
-        let before = allocations();
-        for _ in 0..4 {
-            black_box(sim.run_batch_into(&mut ws, &seeds));
-        }
-        let delta = allocations() - before;
-        assert_eq!(
-            delta,
-            0,
-            "lockstep loop allocated {delta} times across 4 warm batches of {}",
-            seeds.len()
-        );
-    }
-}
-
 /// The frontier engine at fleet scale: on a generated 10^4-node plant
 /// family, replications through a warm workspace stay allocation-free —
 /// the sparse reset and the hierarchical-bitset frontier never touch
@@ -160,7 +133,6 @@ fn lockstep_batches_are_allocation_free_after_warmup() {
 #[test]
 fn fleet_scale_campaign_is_allocation_free_after_warmup() {
     use diversify::scada::fleet::{FleetConfig, FleetSystem};
-    let _guard = measured();
     let fleet = FleetSystem::build(&FleetConfig::sized(10_000, 0xA110C));
     let sim = CampaignSimulator::new(
         fleet.network(),
@@ -189,7 +161,6 @@ fn fleet_scale_campaign_is_allocation_free_after_warmup() {
 /// schedule, weight tables and dependency scratch are all reused.
 #[test]
 fn san_incremental_engine_is_allocation_free_after_warmup() {
-    let _guard = measured();
     let net = scope_network();
     let san = compile_network_campaign(&net, &ThreatModel::stuxnet_like())
         .expect("SCoPE network compiles");
@@ -225,7 +196,6 @@ fn san_incremental_engine_is_allocation_free_after_warmup() {
 /// through a warm workspace must not allocate per replication.
 #[test]
 fn hardened_executor_path_is_allocation_free_per_replication() {
-    let _guard = measured();
     use diversify::des::exec::{Executor, MeanCollector, ReplicationPlan, RunPolicy};
     let net = scope_network();
     let sim = CampaignSimulator::new(&net, ThreatModel::stuxnet_like(), CampaignConfig::default());
@@ -265,7 +235,6 @@ fn hardened_executor_path_is_allocation_free_per_replication() {
 /// *per-replication* allocation count — i.e. all allocation is setup.
 #[test]
 fn transient_solver_allocations_do_not_scale_with_replications() {
-    let _guard = measured();
     use diversify::san::{RewardSpec, TransientSolver};
     let net = scope_network();
     let san = compile_network_campaign(&net, &ThreatModel::stuxnet_like())
