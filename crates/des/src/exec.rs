@@ -354,7 +354,9 @@ impl ReplicationPlan {
 pub enum ExecMode {
     /// One after another on the calling thread.
     Serial,
-    /// Work-shared across all available cores.
+    /// Work-shared across all available cores, with the process-wide
+    /// `rayon` helper pool (inline on the calling thread when another
+    /// round holds the pool).
     #[default]
     Parallel,
 }
@@ -1174,6 +1176,14 @@ impl Executor {
     /// is retried per `retry`; failures either re-raise (`strict`) or
     /// are recorded in `failed` in replication order, so the fold shape
     /// is fixed even under faults.
+    ///
+    /// A parallel round is one call into the process-wide `rayon` helper
+    /// pool, in which the calling thread works alongside the helpers. A
+    /// round that finds the pool busy — an executor on another thread,
+    /// or a round nested inside a replication — runs its replications
+    /// inline on the calling thread, with the same bits. Anything that
+    /// still unwinds on a helper is re-raised here once the round has
+    /// drained, and the pool stays usable.
     #[allow(clippy::too_many_arguments)]
     fn round_accum<W, T, I, F, C, V>(
         &self,

@@ -46,7 +46,7 @@ pub struct WorkerOptions {
 impl Default for WorkerOptions {
     fn default() -> Self {
         WorkerOptions {
-            executor: Executor::default(),
+            executor: Executor::serial(),
             heartbeat_every: Duration::from_millis(25),
             retry: RetryPolicy::none(),
             faults: None,
@@ -286,6 +286,7 @@ mod tests {
     use crate::channel::loopback_pair;
     use crate::protocol::{BudgetSpec, PlanSpec};
     use diversify_core::exec::{campaign_plan, MeasurementsCollector};
+    use diversify_des::exec::ExecMode;
     use diversify_scada::scope::ScopeConfig;
 
     fn spec(first_batch: u32, batches: u32) -> ShardSpec {
@@ -307,6 +308,11 @@ mod tests {
             },
             budget: BudgetSpec::default(),
         }
+    }
+
+    #[test]
+    fn default_executor_is_serial() {
+        assert_eq!(WorkerOptions::default().executor.mode(), ExecMode::Serial);
     }
 
     #[test]
