@@ -1508,13 +1508,14 @@ impl<'n> CampaignSimulator<'n> {
         executor: Executor,
         policy: &RunPolicy,
     ) -> PartialRun<Vec<CampaignOutcome>> {
-        executor.run_ws_checked(
+        executor.execute(
             plan,
             || (),
             |(): &mut (), rep| self.run(rep.seed),
             &diversify_des::exec::VecCollector,
-            policy,
             |outcome: &CampaignOutcome| outcome.stats().is_finite(),
+            None,
+            Some(policy),
         )
     }
 }

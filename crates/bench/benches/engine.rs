@@ -24,9 +24,10 @@ use diversify_bench::{
     campaign_workspace_summary, san_throughput_events, scope_campaign_san,
 };
 use diversify_core::exec::{
-    campaign_plan, Executor, IndicatorsCollector, ReplicationPlan, RunPolicy,
+    accept_all, campaign_plan, BudgetOutcome, Executor, IndicatorsCollector, ReplicationPlan,
+    RunPolicy,
 };
-use diversify_core::runner::{measure_configuration_adaptive, PrecisionTarget};
+use diversify_core::runner::{measure_configuration_run, PrecisionTarget};
 use diversify_san::Engine;
 use diversify_scada::fleet::{FleetConfig, FleetSystem};
 use diversify_scada::scope::{ScopeConfig, ScopeSystem};
@@ -104,9 +105,9 @@ fn bench_engine(c: &mut Criterion) {
             ))
         })
     });
-    // The same workload through the explicitly budgeted entry point
-    // (unwind catch + budget check + failure accounting per
-    // replication). The strict path above already routes through the
+    // The same workload through the fault-tolerant entry point,
+    // `execute` under a policy (unwind catch + budget check + failure
+    // accounting per replication). The strict path above already routes through the
     // hardened core, so this bench isolates the marginal cost of the
     // budget/retry bookkeeping — the PR's "within 5%" claim.
     let unlimited = RunPolicy::new();
@@ -114,12 +115,14 @@ fn bench_engine(c: &mut Criterion) {
         b.iter(|| {
             black_box(
                 Executor::default()
-                    .run_ws_budgeted(
+                    .execute(
                         &campaign_plan_full,
                         || campaign_sim.workspace(),
                         |ws, rep| campaign_sim.run_into(ws, rep.seed),
                         &IndicatorsCollector,
-                        &unlimited,
+                        accept_all,
+                        None,
+                        Some(&unlimited),
                     )
                     .output,
             )
@@ -146,27 +149,30 @@ fn bench_engine(c: &mut Criterion) {
     };
     let target = PrecisionTarget::p_success(0.05, 20, 120);
     let plan = campaign_plan(1, 10, 31);
-    let probe = measure_configuration_adaptive(
+    let probe = measure_configuration_run(
         &net,
         &threat,
         campaign,
         &plan,
         Executor::default(),
-        &target,
+        Some(&target),
+        None,
     );
     println!(
         "measure_adaptive workload: {} replications to rel. half-width 0.05 (met: {})",
-        probe.replications, probe.target_met
+        probe.attempted,
+        probe.budget_outcome == BudgetOutcome::PrecisionMet
     );
     g.bench_function("measure_adaptive", |b| {
         b.iter(|| {
-            black_box(measure_configuration_adaptive(
+            black_box(measure_configuration_run(
                 black_box(&net),
                 &threat,
                 campaign,
                 &plan,
                 Executor::default(),
-                &target,
+                Some(&target),
+                None,
             ))
         })
     });

@@ -15,9 +15,10 @@
 //! slowdowns).
 //!
 //! With `--harden-guard`, the binary times the campaign replication
-//! workload on the hardened executor paths and exits non-zero if the
-//! explicitly budgeted path costs more than `harden-factor ×` (default
-//! 1.05, i.e. 5%) the strict path measured in the same process, or if
+//! workload on the hardened executor paths and exits non-zero if
+//! `Executor::execute` under an unlimited `RunPolicy` (the budgeted
+//! path) costs more than `harden-factor ×` (default 1.05, i.e. 5%) the
+//! strict `run_ws` path measured in the same process, or if
 //! the strict path itself drifts past `guard-factor ×` the
 //! `campaign_replication_throughput_us` recorded in the baseline.
 

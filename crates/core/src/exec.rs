@@ -11,21 +11,20 @@
 //! collectors fold anything the scalar [`CampaignStats`] can be read
 //! from: a materialized
 //! [`CampaignOutcome`](diversify_attack::campaign::CampaignOutcome) or
-//! the stats themselves (the allocation-free workspace path behind
-//! `Executor::run_ws`).
+//! the stats themselves (the allocation-free workspace path of
+//! [`Executor::execute`]).
 //!
 //! This is the single seam every replication loop in the workspace goes
-//! through: `core::runner::measure_configuration` (and its adaptive
-//! variant), the [`Pipeline`](crate::pipeline::Pipeline) design-point
-//! sweep, `des::replication::ReplicationRunner`, the attack-crate
-//! Monte-Carlo helpers, and the bench experiments all build a plan and
-//! hand it to an executor. Collectors are mergeable folds, so the same
-//! code path serves fixed plans, parallel partial aggregation, and
-//! [`Executor::run_adaptive`] precision-targeted runs.
+//! through: [`measure_configuration_run`](crate::runner::measure_configuration_run),
+//! the [`Pipeline`](crate::pipeline::Pipeline) design-point sweep, the
+//! attack-crate Monte-Carlo helpers, the serving workers and the bench
+//! experiments all build a plan and hand it to an executor. Collectors
+//! are mergeable folds, so the same code path serves fixed plans,
+//! parallel partial aggregation, and precision-targeted runs.
 
 pub use diversify_des::exec::{
-    accept_all, AdaptiveRun, Budget, BudgetOutcome, CancelToken, Collector, ExecMode, Executor,
-    FailureCause, MeanCollector, PartialRun, PlanError, Precision, Replication, ReplicationFailure,
+    accept_all, Budget, BudgetOutcome, CancelToken, Collector, ExecMode, Executor, FailureCause,
+    MeanCollector, PartialRun, PlanError, Precision, Replication, ReplicationFailure,
     ReplicationPlan, Reseed, RetryPolicy, RunPolicy, StopRule, VecCollector,
     DEFAULT_STREAM_NAMESPACE,
 };
@@ -69,8 +68,8 @@ pub struct MeasurementsAccum {
 
 /// Running per-batch state: the counters batch means derive from.
 /// `count` tracks how many replications actually folded into the batch —
-/// equal to the plan's batch size on a fault-free run, smaller when the
-/// budgeted paths skipped failed replications, so batch means stay
+/// equal to the plan's batch size on a fault-free run, smaller when a
+/// run under a `RunPolicy` skipped failed replications, so batch means stay
 /// means over *completed* replications instead of silently deflating.
 #[derive(Debug, Clone, Copy)]
 struct BatchAccum {
@@ -208,7 +207,7 @@ where
             .collect();
         Measurements {
             // The executor never calls `finish` on an empty fold
-            // (budgeted paths return `output: None` instead), so the
+            // (a run with nothing completed returns `output: None`), so the
             // accumulator holds at least one replication here.
             #[allow(clippy::disallowed_methods)]
             summary: acc

@@ -3,16 +3,15 @@
 use crate::content::ContentKey;
 use crate::error::PipelineError;
 use crate::exec::{
-    campaign_plan, BudgetOutcome, Executor, Precision, ReplicationFailure, RunPolicy,
+    campaign_plan, BudgetOutcome, Executor, PartialRun, Precision, ReplicationFailure, RunPolicy,
 };
 use crate::factors::{factor_profile, FactorLevel};
 use crate::report::{
     render_adaptive_table, render_health_table, render_measurement_table, render_rare_event_table,
 };
 use crate::runner::{
-    measure_configuration_adaptive, measure_configuration_adaptive_budgeted,
-    measure_configuration_budgeted, measure_configuration_splitting, measure_configuration_with,
-    Measurements, PartialMeasurements, PrecisionTarget, SplittingMeasurements,
+    measure_configuration_run, measure_configuration_splitting, Measurements, PrecisionTarget,
+    SplittingMeasurements,
 };
 use diversify_attack::campaign::{CampaignConfig, ThreatModel};
 use diversify_attack::to_san::{compile_stage_chain, success_place, StageParams};
@@ -148,7 +147,7 @@ impl CellHealth {
         !self.failures.is_empty() || self.budget_outcome.is_truncation()
     }
 
-    fn from_partial(part: &PartialMeasurements) -> CellHealth {
+    fn from_partial(part: &PartialRun<Measurements>) -> CellHealth {
         CellHealth {
             attempted: part.attempted,
             completed: part.completed,
@@ -494,61 +493,24 @@ impl Pipeline {
             seen.insert(key, run_idx);
             let system = ScopeSystem::build(&scope_cfg);
             let run_plan = base_plan.derived(StreamId(run_idx as u64));
-            match (&target, &mut adaptive, resilience) {
-                (Some(target), Some(points), None) => {
-                    let run = measure_configuration_adaptive(
-                        system.network(),
-                        &self.config.threat,
-                        self.config.campaign,
-                        &run_plan,
-                        self.config.executor,
-                        target,
-                    );
-                    points.push(AdaptiveSweepPoint {
-                        replications: run.replications,
-                        batches: run.rounds,
-                        target_met: run.target_met,
-                        precision: run.precision,
-                    });
-                    measurements.push(run.output);
-                }
-                (Some(target), Some(points), Some(policy)) => {
-                    let part = measure_configuration_adaptive_budgeted(
-                        system.network(),
-                        &self.config.threat,
-                        self.config.campaign,
-                        &run_plan,
-                        self.config.executor,
-                        target,
-                        policy,
-                    );
-                    points.push(AdaptiveSweepPoint {
-                        replications: part.attempted,
-                        batches: part.rounds,
-                        target_met: part.budget_outcome == BudgetOutcome::PrecisionMet,
-                        precision: part.achieved_precision,
-                    });
-                    measurements.push(Self::take_cell(run_idx, part, &mut health)?);
-                }
-                (None, _, Some(policy)) => {
-                    let part = measure_configuration_budgeted(
-                        system.network(),
-                        &self.config.threat,
-                        self.config.campaign,
-                        &run_plan,
-                        self.config.executor,
-                        policy,
-                    );
-                    measurements.push(Self::take_cell(run_idx, part, &mut health)?);
-                }
-                _ => measurements.push(measure_configuration_with(
-                    system.network(),
-                    &self.config.threat,
-                    self.config.campaign,
-                    &run_plan,
-                    self.config.executor,
-                )),
+            let run = measure_configuration_run(
+                system.network(),
+                &self.config.threat,
+                self.config.campaign,
+                &run_plan,
+                self.config.executor,
+                target.as_ref(),
+                resilience,
+            );
+            if let Some(points) = &mut adaptive {
+                points.push(AdaptiveSweepPoint {
+                    replications: run.attempted,
+                    batches: run.rounds,
+                    target_met: run.budget_outcome == BudgetOutcome::PrecisionMet,
+                    precision: run.precision,
+                });
             }
+            measurements.push(Self::take_cell(run_idx, run, &mut health)?);
             if let (Some(rare), Some(points)) = (self.config.rare_event, &mut rare_event) {
                 // The splitting sweep seeds from the design run's derived
                 // plan seed but draws through the splitting engine's own
@@ -574,18 +536,18 @@ impl Pipeline {
         })
     }
 
-    /// Unwraps a budgeted cell: records its health and surfaces an empty
-    /// cell (zero completed replications) as
-    /// [`PipelineError::EmptyDesignPoint`].
+    /// Unwraps a cell's run: records its health when the sweep is
+    /// resilient, and surfaces an empty cell (zero completed
+    /// replications) as [`PipelineError::EmptyDesignPoint`].
     fn take_cell(
         run_idx: usize,
-        part: PartialMeasurements,
+        part: PartialRun<Measurements>,
         health: &mut Option<Vec<CellHealth>>,
     ) -> Result<Measurements, PipelineError> {
         if let Some(cells) = health {
             cells.push(CellHealth::from_partial(&part));
         }
-        part.measurements.ok_or(PipelineError::EmptyDesignPoint {
+        part.output.ok_or(PipelineError::EmptyDesignPoint {
             run: run_idx,
             outcome: part.budget_outcome,
         })

@@ -1,12 +1,14 @@
 //! Monte-Carlo measurement of one system configuration, on the unified
-//! [`exec`](crate::exec) layer — fixed replication plans or
+//! [`exec`](crate::exec) layer. [`measure_configuration_run`] is the one
+//! entry point for plain Monte-Carlo: fixed replication plans or
 //! adaptive-precision runs that stop once a confidence-interval target
-//! is met.
+//! is met, strict or fault-tolerant. The splitting functions measure
+//! rare design points.
 
 use crate::error::PipelineError;
 use crate::exec::{
-    campaign_plan, AdaptiveRun, BudgetOutcome, Executor, MeasurementsCollector, PartialRun,
-    Precision, ReplicationFailure, ReplicationPlan, RunPolicy, StopRule,
+    Executor, MeasurementsAccum, MeasurementsCollector, PartialRun, Precision, ReplicationPlan,
+    RunPolicy, StopRule,
 };
 use crate::indicators::{IndicatorSummary, PrecisionResponse};
 use diversify_attack::campaign::{
@@ -30,10 +32,6 @@ pub struct Measurements {
     /// Per-batch mean final compromised ratios.
     pub batch_compromised: Vec<f64>,
 }
-
-/// An adaptive measurement: the [`Measurements`] over the replications
-/// actually executed, plus how many ran and the precision achieved.
-pub type AdaptiveMeasurements = AdaptiveRun<Measurements>;
 
 /// What "precise enough" means for an adaptive measurement: which
 /// indicator to watch, at what confidence level, under which
@@ -94,93 +92,15 @@ impl PrecisionTarget {
     }
 }
 
-/// The gracefully degraded result of a budgeted measurement: the
-/// [`Measurements`] over every replication that completed (if any),
-/// plus the failure and budget record. Produced by
-/// [`measure_configuration_budgeted`] and
-/// [`measure_configuration_adaptive_budgeted`].
-#[derive(Debug, Clone)]
-pub struct PartialMeasurements {
-    /// Aggregated measurements over completed replications, or `None`
-    /// if nothing completed.
-    pub measurements: Option<Measurements>,
-    /// The monitored response's precision at the last adaptive check.
-    pub achieved_precision: Option<Precision>,
-    /// Batch-sized rounds executed.
-    pub rounds: u32,
-    /// Replications attempted.
-    pub attempted: u32,
-    /// Replications that completed and were accepted.
-    pub completed: u32,
-    /// Replications that failed (panicked, or produced non-finite
-    /// statistics), in replication order.
-    pub failed: Vec<ReplicationFailure>,
-    /// Why the run ended.
-    pub budget_outcome: BudgetOutcome,
-}
-
-impl PartialMeasurements {
-    fn from_run(run: PartialRun<Measurements>) -> Self {
-        PartialMeasurements {
-            measurements: run.output,
-            achieved_precision: run.precision,
-            rounds: run.rounds,
-            attempted: run.attempted,
-            completed: run.completed,
-            failed: run.failed,
-            budget_outcome: run.budget_outcome,
-        }
-    }
-
-    /// The indicator summary over completed replications, if any.
-    #[must_use]
-    pub fn indicators(&self) -> Option<&IndicatorSummary> {
-        self.measurements.as_ref().map(|m| &m.summary)
-    }
-
-    /// Whether the result is degraded: some replications failed, or an
-    /// external budget truncated the run.
-    #[must_use]
-    pub fn is_degraded(&self) -> bool {
-        !self.failed.is_empty() || self.budget_outcome.is_truncation()
-    }
-}
-
-/// Runs `batches × batch_size` campaign replications of `threat` against
-/// `network` on the default (parallel) [`Executor`] and aggregates the
-/// indicators.
+/// Measures one configuration under an explicit [`ReplicationPlan`] and
+/// [`Executor`]: the strict fixed-plan case of
+/// [`measure_configuration_run`], for callers that manage their own
+/// plans (the bench experiments, determinism tests).
 ///
 /// # Panics
 ///
-/// Panics if `batches` or `batch_size` is zero.
-#[must_use]
-pub fn measure_configuration(
-    network: &ScadaNetwork,
-    threat: &ThreatModel,
-    config: CampaignConfig,
-    batches: u32,
-    batch_size: u32,
-    master_seed: u64,
-) -> Measurements {
-    measure_configuration_with(
-        network,
-        threat,
-        config,
-        &campaign_plan(batches, batch_size, master_seed),
-        Executor::default(),
-    )
-}
-
-/// Measures one configuration under an explicit [`ReplicationPlan`] and
-/// [`Executor`] — the entry point for callers that manage their own
-/// plans (the pipeline sweep, the bench experiments, determinism tests).
-///
-/// Runs on the workspace executor ([`Executor::run_ws`]): each worker
-/// keeps one [`CampaignWorkspace`](diversify_attack::campaign::CampaignWorkspace)
-/// alive across its replications and folds the scalar per-replication
-/// [`CampaignStats`], so the
-/// hot loop performs no steady-state allocation. Results are
-/// bit-identical to the materializing per-replication path.
+/// Panics if a replication panics or yields non-finite
+/// [`CampaignStats`].
 #[must_use]
 pub fn measure_configuration_with(
     network: &ScadaNetwork,
@@ -189,106 +109,65 @@ pub fn measure_configuration_with(
     plan: &ReplicationPlan,
     executor: Executor,
 ) -> Measurements {
-    let sim = CampaignSimulator::new(network, threat.clone(), config);
-    executor.run_ws(
-        plan,
-        || sim.workspace(),
-        |ws, rep| sim.run_into(ws, rep.seed),
-        &MeasurementsCollector,
-    )
+    match measure_configuration_run(network, threat, config, plan, executor, None, None).output {
+        Some(measurements) => measurements,
+        // Strict mode re-raises the first failure and runs every round
+        // of a non-empty plan, so the fold is never empty.
+        None => unreachable!("a strict fixed measurement always completes"),
+    }
 }
 
-/// Measures one configuration adaptively: batch-sized rounds of `plan`
-/// execute until `target` is met (or its replication cap is hit), so a
-/// low-variance configuration spends a fraction of the replications a
-/// high-variance one needs.
+/// Measures one configuration: `plan`'s campaign replications of
+/// `threat` against `network`, folded into batched [`Measurements`].
+/// Every plain Monte-Carlo measurement goes through here.
 ///
-/// Seeds stay the plan's `namespace ^ index` derivation and outcomes
-/// fold through the same per-round structure as fixed plans, so an
-/// adaptive run that stops after *N* replications returns
-/// [`Measurements`] **bit-identical** to
-/// [`measure_configuration_with`] on `plan.with_batches(N / batch_size)`.
-/// Campaign workspaces live in a pool that survives across rounds
-/// ([`Executor::run_adaptive_ws`]), so later rounds re-pay no
-/// per-replication setup.
+/// * `target` makes the measurement adaptive. With `None` the plan runs
+///   in full. With `Some(target)` batch-sized rounds of `plan` execute
+///   until the watched indicator's interval meets the target (or its
+///   replication cap is hit), so a low-variance configuration spends a
+///   fraction of the replications a high-variance one needs.
+///   [`PartialRun::budget_outcome`] says whether the target was met
+///   and [`PartialRun::precision`] what was achieved.
+/// * `policy` makes it fault-tolerant. With `None` the first failed
+///   replication panics. With `Some(policy)` failures are retried per
+///   the policy and otherwise recorded, and the policy's budget
+///   (replication cap, deadline, cancellation) truncates at round
+///   boundaries.
+///
+/// Either way a replication whose [`CampaignStats`] are not finite
+/// counts as failed. Each worker keeps one
+/// [`CampaignWorkspace`](diversify_attack::campaign::CampaignWorkspace)
+/// alive across its replications and rounds, so the hot loop performs
+/// no steady-state allocation. Seeds stay the plan's `namespace ^
+/// index` derivation and outcomes fold through the same per-round
+/// structure in every mode, so a run that stops after `rounds` rounds
+/// — by target, cap or budget — holds [`Measurements`]
+/// **bit-identical** to [`measure_configuration_with`] on
+/// `plan.with_batches(rounds)`, and every surviving replication is
+/// bit-identical to the fault-free run.
 #[must_use]
-pub fn measure_configuration_adaptive(
+pub fn measure_configuration_run(
     network: &ScadaNetwork,
     threat: &ThreatModel,
     config: CampaignConfig,
     plan: &ReplicationPlan,
     executor: Executor,
-    target: &PrecisionTarget,
-) -> AdaptiveMeasurements {
+    target: Option<&PrecisionTarget>,
+    policy: Option<&RunPolicy>,
+) -> PartialRun<Measurements> {
     let sim = CampaignSimulator::new(network, threat.clone(), config);
-    executor.run_adaptive_ws(
+    let monitor = |acc: &MeasurementsAccum, _replications: u32| -> Option<Precision> {
+        target.and_then(|t| acc.indicators.precision(t.response, t.level))
+    };
+    executor.execute(
         plan,
-        &target.rule,
         || sim.workspace(),
         |ws, rep| sim.run_into(ws, rep.seed),
         &MeasurementsCollector,
-        |acc, _replications| acc.indicators.precision(target.response, target.level),
+        CampaignStats::is_finite,
+        target.map(|t| (&t.rule, &monitor as _)),
+        policy,
     )
-}
-
-/// The fault-tolerant form of [`measure_configuration_with`]: measures
-/// one configuration under a [`RunPolicy`] — replications run
-/// unwind-caught, failures are retried per policy and otherwise
-/// recorded, non-finite campaign statistics are rejected as invalid
-/// output, and the policy's budget (replication cap, deadline,
-/// cancellation) truncates at round boundaries. Returns
-/// [`PartialMeasurements`] over whatever completed; every surviving
-/// replication is bit-identical to the fault-free run, and with no
-/// faults and an unlimited budget the measurements are bit-identical
-/// to [`measure_configuration_with`].
-#[must_use]
-pub fn measure_configuration_budgeted(
-    network: &ScadaNetwork,
-    threat: &ThreatModel,
-    config: CampaignConfig,
-    plan: &ReplicationPlan,
-    executor: Executor,
-    policy: &RunPolicy,
-) -> PartialMeasurements {
-    let sim = CampaignSimulator::new(network, threat.clone(), config);
-    PartialMeasurements::from_run(executor.run_ws_checked(
-        plan,
-        || sim.workspace(),
-        |ws, rep| sim.run_into(ws, rep.seed),
-        &MeasurementsCollector,
-        policy,
-        CampaignStats::is_finite,
-    ))
-}
-
-/// The fault-tolerant form of [`measure_configuration_adaptive`]:
-/// adaptive rounds under a [`RunPolicy`]. The returned
-/// `budget_outcome` distinguishes the target being met
-/// ([`BudgetOutcome::PrecisionMet`]), the rule's own replication cap
-/// ([`BudgetOutcome::RuleCapped`]), and external truncation; a
-/// truncated run's measurements are bit-identical to the fixed plan of
-/// the rounds it completed.
-#[must_use]
-pub fn measure_configuration_adaptive_budgeted(
-    network: &ScadaNetwork,
-    threat: &ThreatModel,
-    config: CampaignConfig,
-    plan: &ReplicationPlan,
-    executor: Executor,
-    target: &PrecisionTarget,
-    policy: &RunPolicy,
-) -> PartialMeasurements {
-    let sim = CampaignSimulator::new(network, threat.clone(), config);
-    PartialMeasurements::from_run(executor.run_adaptive_ws_checked(
-        plan,
-        &target.rule,
-        || sim.workspace(),
-        |ws, rep| sim.run_into(ws, rep.seed),
-        &MeasurementsCollector,
-        |acc, _replications| acc.indicators.precision(target.response, target.level),
-        policy,
-        CampaignStats::is_finite,
-    ))
 }
 
 /// A rare-event measurement of one configuration: the
@@ -332,8 +211,8 @@ impl SplittingMeasurements {
 /// Measures one configuration's attack-success probability by
 /// fixed-effort multilevel splitting over the simulator's goal-implied
 /// campaign milestones — the estimation mode for *rare* design points,
-/// where `measure_configuration` would need millions of replications to
-/// see a single success.
+/// where [`measure_configuration_with`] would need millions of
+/// replications to see a single success.
 ///
 /// `population` replications run per level; survivors of each milestone
 /// are checkpointed and resampled as the next level's starting states,
@@ -355,23 +234,16 @@ pub fn measure_configuration_splitting(
     executor: Executor,
     level: f64,
 ) -> Result<SplittingMeasurements, PipelineError> {
-    if !(0.0 < level && level < 1.0) {
-        return Err(PipelineError::InvalidLevel(level));
-    }
-    let sim = CampaignSimulator::new(network, threat.clone(), config);
-    let task = CampaignSplitTask::with_default_milestones(&sim);
-    let milestones = task.milestones().to_vec();
-    let run = Splitting::try_new(population, master_seed)?.run(&task, &executor)?;
-    let ci = product_proportion_ci(&run.conditionals(), level)?;
-    Ok(SplittingMeasurements {
-        estimate: run.estimate,
-        ci,
-        milestones,
-        levels: run.levels,
-        total_ticks: run.total_ticks,
-        population: run.population,
-        placement: None,
-    })
+    measure_splitting(
+        network,
+        threat,
+        config,
+        population,
+        master_seed,
+        executor,
+        level,
+        None,
+    )
 }
 
 /// Like [`measure_configuration_splitting`], but places the spread
@@ -400,36 +272,60 @@ pub fn measure_configuration_splitting_adaptive(
     level: f64,
     pilot_population: u32,
 ) -> Result<SplittingMeasurements, PipelineError> {
+    measure_splitting(
+        network,
+        threat,
+        config,
+        population,
+        master_seed,
+        executor,
+        level,
+        Some(pilot_population),
+    )
+}
+
+/// The body of both splitting measurements: the fixed milestone
+/// schedule without a pilot, the piloted one with.
+#[allow(clippy::too_many_arguments)]
+fn measure_splitting(
+    network: &ScadaNetwork,
+    threat: &ThreatModel,
+    config: CampaignConfig,
+    population: u32,
+    master_seed: u64,
+    executor: Executor,
+    level: f64,
+    pilot_population: Option<u32>,
+) -> Result<SplittingMeasurements, PipelineError> {
     if !(0.0 < level && level < 1.0) {
         return Err(PipelineError::InvalidLevel(level));
     }
     let sim = CampaignSimulator::new(network, threat.clone(), config);
-    let (task, placement) =
-        CampaignSplitTask::with_piloted_milestones(&sim, pilot_population, master_seed);
-    let milestones = task.milestones().to_vec();
+    let (task, placement) = match pilot_population {
+        None => (CampaignSplitTask::with_default_milestones(&sim), None),
+        Some(pilot) => {
+            let (task, placement) =
+                CampaignSplitTask::with_piloted_milestones(&sim, pilot, master_seed);
+            (task, Some(placement))
+        }
+    };
     let run = Splitting::try_new(population, master_seed)?.run(&task, &executor)?;
     let ci = product_proportion_ci(&run.conditionals(), level)?;
     Ok(SplittingMeasurements {
         estimate: run.estimate,
         ci,
-        milestones,
+        milestones: task.milestones().to_vec(),
         levels: run.levels,
         total_ticks: run.total_ticks,
         population: run.population,
-        placement: Some(placement),
+        placement,
     })
-}
-
-/// The [`Precision`] achieved by a finished adaptive run, as a relative
-/// half-width (`None` when the monitor never produced an interval).
-#[must_use]
-pub fn achieved_relative_half_width(run: &AdaptiveMeasurements) -> Option<f64> {
-    run.precision.as_ref().map(Precision::relative_half_width)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{campaign_plan, BudgetOutcome};
     use diversify_scada::scope::{ScopeConfig, ScopeSystem};
 
     fn scope_network() -> ScadaNetwork {
@@ -441,13 +337,12 @@ mod tests {
     #[test]
     fn batching_covers_all_replications() {
         let net = scope_network();
-        let m = measure_configuration(
+        let m = measure_configuration_with(
             &net,
             &ThreatModel::stuxnet_like(),
             CampaignConfig::default(),
-            4,
-            5,
-            9,
+            &campaign_plan(4, 5, 9),
+            Executor::default(),
         );
         assert_eq!(m.summary.replications, 20);
         assert_eq!(m.batch_p_success.len(), 4);
@@ -461,13 +356,12 @@ mod tests {
     fn deterministic_under_seed() {
         let net = scope_network();
         let run = |seed| {
-            measure_configuration(
+            measure_configuration_with(
                 &net,
                 &ThreatModel::stuxnet_like(),
                 CampaignConfig::default(),
-                2,
-                5,
-                seed,
+                &campaign_plan(2, 5, seed),
+                Executor::default(),
             )
             .summary
             .p_success
@@ -503,26 +397,28 @@ mod tests {
         let base = campaign_plan(1, 6, 0xADA);
         // A rule that can never be met: the run executes exactly the cap.
         let target = PrecisionTarget::p_success(1e-12, 6, 24);
-        let adaptive = measure_configuration_adaptive(
+        let adaptive = measure_configuration_run(
             &net,
             &threat,
             config,
             &base,
             Executor::default(),
-            &target,
+            Some(&target),
+            None,
         );
-        assert!(!adaptive.target_met);
-        assert_eq!(adaptive.replications, 24);
+        assert!(adaptive.budget_outcome != BudgetOutcome::PrecisionMet);
+        assert_eq!(adaptive.attempted, 24);
         assert_eq!(adaptive.plan, base.with_batches(4));
         let fixed =
             measure_configuration_with(&net, &threat, config, &adaptive.plan, Executor::default());
+        let output = adaptive.output.expect("a strict run completes");
         assert_eq!(
-            adaptive.output.summary.p_success.to_bits(),
+            output.summary.p_success.to_bits(),
             fixed.summary.p_success.to_bits()
         );
-        assert_eq!(adaptive.output.batch_p_success, fixed.batch_p_success);
-        assert_eq!(adaptive.output.batch_compromised, fixed.batch_compromised);
-        assert_eq!(adaptive.output.summary.tta, fixed.summary.tta);
+        assert_eq!(output.batch_p_success, fixed.batch_p_success);
+        assert_eq!(output.batch_compromised, fixed.batch_compromised);
+        assert_eq!(output.summary.tta, fixed.summary.tta);
     }
 
     #[test]
@@ -532,7 +428,7 @@ mod tests {
         // 5% relative target stops well under the cap.
         let net = scope_network();
         let target = PrecisionTarget::p_success(0.05, 50, 1000);
-        let run = measure_configuration_adaptive(
+        let run = measure_configuration_run(
             &net,
             &ThreatModel::stuxnet_like(),
             CampaignConfig {
@@ -541,15 +437,23 @@ mod tests {
             },
             &campaign_plan(1, 25, 0xD1CE),
             Executor::default(),
-            &target,
+            Some(&target),
+            None,
         );
-        assert!(run.target_met, "precision target should be reachable");
         assert!(
-            run.replications < 1000,
-            "adaptive run should stop before the cap ({} replications)",
-            run.replications
+            run.budget_outcome == BudgetOutcome::PrecisionMet,
+            "precision target should be reachable"
         );
-        let achieved = achieved_relative_half_width(&run).expect("precision was computed");
+        assert!(
+            run.attempted < 1000,
+            "adaptive run should stop before the cap ({} replications)",
+            run.attempted
+        );
+        let achieved = run
+            .precision
+            .as_ref()
+            .map(Precision::relative_half_width)
+            .expect("precision was computed");
         assert!(achieved <= 0.05, "achieved {achieved} > target");
     }
 
@@ -560,18 +464,19 @@ mod tests {
         let config = CampaignConfig::default();
         let plan = campaign_plan(3, 6, 0xB0B);
         let plain = measure_configuration_with(&net, &threat, config, &plan, Executor::serial());
-        let run = measure_configuration_budgeted(
+        let run = measure_configuration_run(
             &net,
             &threat,
             config,
             &plan,
             Executor::serial(),
-            &RunPolicy::new(),
+            None,
+            Some(&RunPolicy::new()),
         );
         assert!(!run.is_degraded());
         assert_eq!(run.budget_outcome, BudgetOutcome::Completed);
         assert_eq!(run.completed, 18);
-        let m = run.measurements.expect("all replications completed");
+        let m = run.output.expect("all replications completed");
         assert_eq!(
             m.summary.p_success.to_bits(),
             plain.summary.p_success.to_bits()
@@ -588,13 +493,14 @@ mod tests {
         let config = CampaignConfig::default();
         let plan = campaign_plan(4, 5, 0x7A7);
         let policy = RunPolicy::new().with_budget(Budget::unlimited().with_max_replications(10));
-        let run = measure_configuration_budgeted(
+        let run = measure_configuration_run(
             &net,
             &threat,
             config,
             &plan,
             Executor::default(),
-            &policy,
+            None,
+            Some(&policy),
         );
         assert_eq!(run.budget_outcome, BudgetOutcome::ReplicationBudget);
         assert!(run.is_degraded());
@@ -606,7 +512,7 @@ mod tests {
             &plan.with_batches(2),
             Executor::default(),
         );
-        let m = run.measurements.expect("two rounds completed");
+        let m = run.output.expect("two rounds completed");
         assert_eq!(
             m.summary.p_success.to_bits(),
             fixed.summary.p_success.to_bits()
@@ -621,7 +527,13 @@ mod tests {
         let config = CampaignConfig::default();
         // Non-rare monoculture point: splitting must agree with the
         // plain fixed-plan estimate within Monte-Carlo noise.
-        let plain = measure_configuration(&net, &threat, config, 10, 40, 0xACE);
+        let plain = measure_configuration_with(
+            &net,
+            &threat,
+            config,
+            &campaign_plan(10, 40, 0xACE),
+            Executor::default(),
+        );
         let split = measure_configuration_splitting(
             &net,
             &threat,
@@ -768,13 +680,12 @@ mod tests {
     #[should_panic(expected = "non-empty batch plan")]
     fn zero_batches_panics() {
         let net = scope_network();
-        let _ = measure_configuration(
+        let _ = measure_configuration_with(
             &net,
             &ThreatModel::stuxnet_like(),
             CampaignConfig::default(),
-            0,
-            5,
-            1,
+            &campaign_plan(0, 5, 1),
+            Executor::default(),
         );
     }
 }

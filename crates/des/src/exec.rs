@@ -1,16 +1,16 @@
 //! The unified replication-execution layer.
 //!
 //! Every Monte-Carlo workload in the workspace — campaign measurement,
-//! the DoE design-point sweep, the generic replication harness, the
-//! bench experiments — repeats a seeded task many times and aggregates
-//! the results. Call sites describe *what* to run with a
+//! the DoE design-point sweep, multilevel splitting, the bench
+//! experiments — repeats a seeded task many times and aggregates the
+//! results. Call sites describe *what* to run with a
 //! [`ReplicationPlan`], hand the per-replication task to an
 //! [`Executor`], and fold the outputs with a [`Collector`] — a
 //! mergeable fold (`empty` / `accumulate` / `merge` / `finish`), so
 //! aggregation streams: outcomes fold into accumulators round by round
 //! instead of being materialized into one `Vec` of every replication.
 //!
-//! Three properties hold by construction:
+//! These properties hold by construction:
 //!
 //! * **Determinism** — replication *i* draws its seed from
 //!   `(master_seed, namespace ^ i)` regardless of scheduling, and the
@@ -20,35 +20,39 @@
 //! * **Bounded memory** — the executor materializes at most one batch of
 //!   raw outputs at a time; collectors keep O(1) (or O(batches)) state
 //!   per metric instead of O(replications).
-//! * **Adaptive precision** — [`Executor::run_adaptive`] executes
-//!   batch-sized rounds until a [`StopRule`] is met, and because fixed
-//!   plans fold through the identical round structure, an adaptive run
+//! * **One entry point** — [`Executor::execute`] runs every kind of
+//!   plan through one round loop. Its arguments are the choices a run
+//!   makes: a per-worker workspace, an output validator, an optional
+//!   adaptive stop rule, and an optional fault-tolerance policy.
+//!   [`Executor::run`], [`Executor::collect`] and [`Executor::run_ws`]
+//!   are its strict fixed-plan shorthands.
+//! * **Adaptive precision** — given a [`StopRule`], `execute` runs
+//!   batch-sized rounds until the rule is met, and because fixed plans
+//!   fold through the identical round structure, an adaptive run
 //!   stopped after *N* replications is bit-identical to a fixed plan of
 //!   *N*.
-//! * **Workspace reuse** — [`Executor::run_ws`] (and its adaptive twin
-//!   [`Executor::run_adaptive_ws`]) hands every replication a mutable
+//! * **Workspace reuse** — every replication borrows a mutable
 //!   per-worker *workspace* created by an `init` closure, so tasks can
 //!   keep scratch buffers, simulators and other heap state alive across
 //!   the replications a worker executes instead of reallocating them
 //!   per replication. Seeds and the fold shape are untouched — in fact
-//!   `run`/`collect`/`run_adaptive` *are* the workspace path with a unit
-//!   workspace — so workspace, serial and parallel runs of the same plan
-//!   all stay bit-identical.
-//! * **Fault tolerance** — every replication executes unwind-caught. On
-//!   the strict paths (`run*`/`collect`) a panic still propagates, so
-//!   legacy behavior is unchanged; on the budgeted paths
-//!   ([`Executor::run_ws_budgeted`] / [`Executor::run_ws_checked`] and
-//!   their adaptive twins) a failed replication is *recorded* as a
-//!   [`ReplicationFailure`] (index, seed, attempt count, cause) instead
-//!   of poisoning the batch, optionally retried from its own seed by a
-//!   [`RetryPolicy`], and the run returns a [`PartialRun`]: the merged
-//!   accumulators over every replication that did complete. Because
-//!   seeds are a pure function of `(master_seed, namespace ^ index)`,
-//!   surviving replications are bit-identical to a fault-free run, and a
-//!   run truncated by a [`Budget`] (replication cap, wall-clock
-//!   deadline, or a cooperative [`CancelToken`], all checked at round
-//!   boundaries) after *N* rounds is bit-identical to the fixed plan of
-//!   *N* rounds over the completed indices.
+//!   `run`/`collect` *are* the workspace path with a unit workspace —
+//!   so workspace, serial and parallel runs of the same plan all stay
+//!   bit-identical.
+//! * **Fault tolerance** — every replication executes unwind-caught.
+//!   Without a [`RunPolicy`] a run is strict: the first failure still
+//!   propagates, with a panic's original payload. With one, a failed
+//!   replication is *recorded* as a [`ReplicationFailure`] (index,
+//!   seed, attempt count, cause) instead of poisoning the batch,
+//!   optionally retried from its own seed by a [`RetryPolicy`], and the
+//!   run returns a [`PartialRun`]: the merged accumulators over every
+//!   replication that did complete. Because seeds are a pure function
+//!   of `(master_seed, namespace ^ index)`, surviving replications are
+//!   bit-identical to a fault-free run, and a run truncated by a
+//!   [`Budget`] (replication cap, wall-clock deadline, or a cooperative
+//!   [`CancelToken`], all checked at round boundaries) after *N* rounds
+//!   is bit-identical to the fixed plan of *N* rounds over the
+//!   completed indices.
 
 use crate::rng::{derive_seed, StreamId};
 use rayon::prelude::*;
@@ -59,9 +63,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// The default stream namespace for replication seeds (shared with the
-/// historical `ReplicationRunner` schedule so existing experiments keep
-/// their exact random sequences).
+/// The default stream namespace for replication seeds. Experiments
+/// recorded before the executor existed drew their seeds under it, so
+/// keeping it keeps their exact random sequences.
 pub const DEFAULT_STREAM_NAMESPACE: u64 = 0x5EED_0000_0000_0000;
 
 /// One replication of a plan: its index and derived seed.
@@ -477,8 +481,8 @@ impl Collector<f64> for MeanCollector {
 }
 
 /// A point estimate with its confidence-interval half-width — what a
-/// [`StopRule`] judges. Produced by the *monitor* closure of
-/// [`Executor::run_adaptive`] (typically from a streaming accumulator's
+/// [`StopRule`] judges. Produced by the *monitor* closure of an
+/// adaptive [`Executor::execute`] (typically from a streaming accumulator's
 /// moment-based interval).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Precision {
@@ -573,27 +577,6 @@ impl StopRule {
     }
 }
 
-/// Result of an [`Executor::run_adaptive`] call.
-#[derive(Debug, Clone)]
-pub struct AdaptiveRun<O> {
-    /// The collector's output over the replications actually executed.
-    pub output: O,
-    /// The effective fixed plan this run is bit-identical to
-    /// (`rounds × batch_size` replications under the base plan's seed
-    /// schedule).
-    pub plan: ReplicationPlan,
-    /// Batch-sized rounds executed.
-    pub rounds: u32,
-    /// Replications executed (`rounds × batch_size`).
-    pub replications: u32,
-    /// Whether the stop rule's precision target was met (as opposed to
-    /// hitting the replication cap).
-    pub target_met: bool,
-    /// The monitored response's precision at the final check, if the
-    /// monitor could compute one.
-    pub precision: Option<Precision>,
-}
-
 /// A cooperative cancellation flag shared between a run and whoever may
 /// want to stop it (another thread, a signal handler, a serving layer's
 /// admission controller).
@@ -646,8 +629,8 @@ pub struct Budget {
 }
 
 impl Budget {
-    /// A budget that never stops a run — the strict paths' implicit
-    /// policy.
+    /// A budget that never stops a run — the implicit budget of a
+    /// strict run.
     #[must_use]
     pub const fn unlimited() -> Self {
         Budget {
@@ -857,8 +840,8 @@ impl Default for RetryPolicy {
 /// Everything a budgeted run needs to know about *how* to be resilient:
 /// the retry policy for failed replications and the budget bounding the
 /// whole run. The default policy (no retries, unlimited budget) makes
-/// [`Executor::run_ws_budgeted`] behave like [`Executor::run_ws`]
-/// except that failures degrade the result instead of panicking.
+/// [`Executor::execute`] behave like [`Executor::run_ws`] except that
+/// failures degrade the result instead of panicking.
 #[derive(Debug, Clone, Default)]
 pub struct RunPolicy {
     /// Re-execution policy for failed replications.
@@ -936,9 +919,9 @@ impl std::fmt::Display for ReplicationFailure {
     }
 }
 
-/// The gracefully degraded result of a budgeted run: whatever the
-/// collector folded over the replications that completed, plus an
-/// honest account of what did not.
+/// The result of [`Executor::execute`]: whatever the collector folded
+/// over the replications that completed, plus an honest account of
+/// what did not and why the run ended.
 ///
 /// Two invariants make a partial result trustworthy:
 ///
@@ -989,14 +972,14 @@ impl<O> PartialRun<O> {
     }
 }
 
-/// The validator that accepts every output — the policy of the plain
-/// budgeted paths, where only panics count as failures.
+/// The validator that accepts every output, for runs where only panics
+/// count as failures.
 pub fn accept_all<T>(_value: &T) -> bool {
     true
 }
 
 /// Internal failure record of one replication's attempt loop: the
-/// public failure plus, for strict paths, the original panic payload so
+/// public failure plus, for strict runs, the original panic payload so
 /// `resume_unwind` preserves it exactly. Boxed so the hot `Result` stays
 /// one pointer wide on the error side.
 struct TaskError {
@@ -1067,40 +1050,8 @@ where
     }
 }
 
-/// Assembles a [`PartialRun`] from a finished round loop. `finish` is
-/// only invoked when at least one replication completed, so collectors
-/// keep their "non-empty fold" invariant even under total failure.
-#[allow(clippy::too_many_arguments)]
-fn finish_partial<T, C: Collector<T>>(
-    plan: &ReplicationPlan,
-    collector: &C,
-    acc: C::Accum,
-    rounds: u32,
-    completed: u32,
-    failed: Vec<ReplicationFailure>,
-    budget_outcome: BudgetOutcome,
-    precision: Option<Precision>,
-) -> PartialRun<C::Output> {
-    let effective = if rounds > 0 {
-        plan.with_batches(rounds)
-    } else {
-        *plan
-    };
-    let output = (completed > 0).then(|| collector.finish(&effective, acc));
-    PartialRun {
-        output,
-        plan: effective,
-        rounds,
-        attempted: rounds * plan.batch_size(),
-        completed,
-        failed,
-        budget_outcome,
-        precision,
-    }
-}
-
-/// Strict paths re-raise the first failure exactly as if it had never
-/// been caught; budgeted paths record it and move on.
+/// Strict runs re-raise the first failure exactly as if it had never
+/// been caught; runs under a [`RunPolicy`] record it and move on.
 // The Box keeps the per-replication `Result` one word wide on the hot
 // success path; this cold sink consumes it as-is.
 #[allow(clippy::boxed_local)]
@@ -1113,6 +1064,11 @@ fn record_or_propagate(err: Box<TaskError>, strict: bool, failed: &mut Vec<Repli
     }
     failed.push(err.failure);
 }
+
+/// The monitor of an adaptive run: the current [`Precision`] of the
+/// watched response, given the running accumulator and the number of
+/// completed replications.
+type Monitor<'m, A> = dyn Fn(&A, u32) -> Option<Precision> + 'm;
 
 /// Runs the replications of a [`ReplicationPlan`].
 ///
@@ -1241,149 +1197,6 @@ impl Executor {
         acc
     }
 
-    /// The fixed-plan driver behind both the strict and the budgeted
-    /// workspace paths.
-    #[allow(clippy::too_many_arguments)]
-    fn run_fixed_ft<W, T, I, F, C, V>(
-        &self,
-        plan: &ReplicationPlan,
-        init: I,
-        task: F,
-        collector: &C,
-        policy: &RunPolicy,
-        validate: V,
-        strict: bool,
-    ) -> PartialRun<C::Output>
-    where
-        W: Send,
-        T: Send,
-        I: Fn() -> W + Sync,
-        F: Fn(&mut W, Replication) -> T + Sync + Send,
-        C: Collector<T>,
-        V: Fn(&T) -> bool + Sync,
-    {
-        let pool = WorkspacePool::new(&init);
-        let started = Instant::now();
-        let mut acc = collector.empty();
-        let mut failed = Vec::new();
-        let mut completed = 0u32;
-        let mut rounds = 0u32;
-        let mut budget_outcome = BudgetOutcome::Completed;
-        while rounds < plan.batches() {
-            if let Some(stop) = policy
-                .budget
-                .stop_reason(started, (rounds + 1) * plan.batch_size())
-            {
-                budget_outcome = stop;
-                break;
-            }
-            let partial = self.round_accum(
-                plan,
-                rounds,
-                &pool,
-                &task,
-                collector,
-                &validate,
-                &policy.retry,
-                strict,
-                &mut completed,
-                &mut failed,
-            );
-            collector.merge(&mut acc, partial);
-            rounds += 1;
-        }
-        finish_partial(
-            plan,
-            collector,
-            acc,
-            rounds,
-            completed,
-            failed,
-            budget_outcome,
-            None,
-        )
-    }
-
-    /// The adaptive driver behind both the strict and the budgeted
-    /// adaptive workspace paths.
-    #[allow(clippy::too_many_arguments)]
-    fn run_adaptive_ft<W, T, I, F, C, M, V>(
-        &self,
-        plan: &ReplicationPlan,
-        rule: &StopRule,
-        init: I,
-        task: F,
-        collector: &C,
-        monitor: M,
-        policy: &RunPolicy,
-        validate: V,
-        strict: bool,
-    ) -> PartialRun<C::Output>
-    where
-        W: Send,
-        T: Send,
-        I: Fn() -> W + Sync,
-        F: Fn(&mut W, Replication) -> T + Sync + Send,
-        C: Collector<T>,
-        M: Fn(&C::Accum, u32) -> Option<Precision>,
-        V: Fn(&T) -> bool + Sync,
-    {
-        let pool = WorkspacePool::new(&init);
-        let started = Instant::now();
-        let batch = plan.batch_size();
-        let max_rounds = (rule.max_replications / batch).max(1);
-        let min_rounds = rule.min_replications.div_ceil(batch).clamp(1, max_rounds);
-        let mut acc = collector.empty();
-        let mut failed = Vec::new();
-        let mut completed = 0u32;
-        let mut rounds = 0u32;
-        let mut precision = None;
-        let mut budget_outcome = BudgetOutcome::RuleCapped;
-        while rounds < max_rounds {
-            if let Some(stop) = policy
-                .budget
-                .stop_reason(started, (rounds + 1).saturating_mul(batch))
-            {
-                budget_outcome = stop;
-                break;
-            }
-            let partial = self.round_accum(
-                plan,
-                rounds,
-                &pool,
-                &task,
-                collector,
-                &validate,
-                &policy.retry,
-                strict,
-                &mut completed,
-                &mut failed,
-            );
-            collector.merge(&mut acc, partial);
-            rounds += 1;
-            if rounds < min_rounds {
-                continue;
-            }
-            precision = monitor(&acc, completed);
-            if let Some(p) = &precision {
-                if rule.is_met(p) {
-                    budget_outcome = BudgetOutcome::PrecisionMet;
-                    break;
-                }
-            }
-        }
-        finish_partial(
-            plan,
-            collector,
-            acc,
-            rounds,
-            completed,
-            failed,
-            budget_outcome,
-            precision,
-        )
-    }
-
     /// Runs every replication of `plan` through `task`, returning the
     /// outputs in replication order (the [`VecCollector`] fold).
     pub fn run<T, F>(&self, plan: &ReplicationPlan, task: F) -> Vec<T>
@@ -1406,7 +1219,8 @@ impl Executor {
     }
 
     /// Runs every replication with a reusable per-worker **workspace**
-    /// and folds the outputs with `collector`.
+    /// and folds the outputs with `collector` — the strict fixed-plan
+    /// case of [`Executor::execute`].
     ///
     /// `init` creates one workspace per worker that needs one (a serial
     /// run creates exactly one; a parallel run at most one per
@@ -1421,7 +1235,8 @@ impl Executor {
     /// and the fold shape is the same fixed per-round structure as
     /// [`Executor::collect`], so for any task whose output depends only
     /// on its `Replication` (not on workspace history), `run_ws` is
-    /// **bit-identical** to `collect` on every executor mode.
+    /// **bit-identical** to `collect` on every executor mode. A panic
+    /// in `task` propagates with its original payload.
     ///
     /// # Examples
     ///
@@ -1459,65 +1274,94 @@ impl Executor {
         F: Fn(&mut W, Replication) -> T + Sync + Send,
         C: Collector<T>,
     {
-        let run = self.run_fixed_ft(
-            plan,
-            init,
-            task,
-            collector,
-            &RunPolicy::new(),
-            accept_all::<T>,
-            true,
-        );
-        match run.output {
+        match self
+            .execute(plan, init, task, collector, accept_all::<T>, None, None)
+            .output
+        {
             Some(output) => output,
-            // Strict mode re-raises the first failure and the policy is
-            // unlimited, so every replication of the plan completed.
-            None => unreachable!("a strict unbudgeted run always completes"),
+            // Strict mode re-raises the first failure and runs every
+            // round of a non-empty plan, so the fold is never empty.
+            None => unreachable!("a strict fixed run always completes"),
         }
     }
 
-    /// Runs `plan` under a [`RunPolicy`], isolating panics and bounding
-    /// work, and returns a gracefully degraded [`PartialRun`] instead
-    /// of propagating failures.
+    /// Runs `plan` and folds the outputs with `collector`: the one round
+    /// loop behind every run method. Each argument beyond the plan and
+    /// the fold is one choice about the run.
     ///
-    /// Every replication executes unwind-caught: a panic (after the
-    /// policy's retries) becomes a [`ReplicationFailure`] and the fold
-    /// simply skips that slot, so every surviving replication's
-    /// contribution is bit-identical to the fault-free run. The
-    /// policy's [`Budget`] is checked at round boundaries; a truncated
-    /// run is bit-identical to the fixed plan of the rounds it
-    /// completed.
-    pub fn run_ws_budgeted<W, T, I, F, C>(
+    /// * `init` creates the per-worker workspace every replication
+    ///   borrows (see [`Executor::run_ws`]). The pool lives for the
+    ///   whole call, so later rounds re-pay no setup.
+    /// * `validate` judges each output. A rejected one (e.g. a
+    ///   non-finite reward) counts as a failed replication with cause
+    ///   [`FailureCause::InvalidOutput`]; pass [`accept_all`] to count
+    ///   only panics.
+    /// * `until` makes the run adaptive. With `None` the run executes
+    ///   the plan's `batches()` rounds and ends
+    ///   [`BudgetOutcome::Completed`]. With `Some((rule, monitor))` the
+    ///   plan supplies only the seed schedule and the round size
+    ///   (`batch_size`); rounds run until `rule` is met
+    ///   ([`BudgetOutcome::PrecisionMet`]) or its replication cap is
+    ///   reached ([`BudgetOutcome::RuleCapped`]). After each round past
+    ///   `rule.min_replications` the monitor receives the running
+    ///   accumulator and the completed-replication count, and returns
+    ///   the current [`Precision`] of the watched response (or `None`
+    ///   while it cannot be computed, e.g. no variance yet).
+    /// * `policy` makes the run fault-tolerant. `None` is strict: the
+    ///   first failure re-raises — a panic with its original payload, a
+    ///   rejected output as a panic naming its [`ReplicationFailure`] —
+    ///   and nothing stops the run early but the rule. With
+    ///   `Some(policy)` a failure (after the policy's retries) is
+    ///   recorded in [`PartialRun::failed`] and its slot skipped in the
+    ///   fold, and the policy's [`Budget`] may end the run at a round
+    ///   boundary.
+    ///
+    /// Seeds stay the plan's `namespace ^ index` derivation and the
+    /// fold shape is the fixed per-round structure whatever the
+    /// choices, so every surviving replication is bit-identical to the
+    /// fault-free run, and a run that stops after `rounds` rounds — by
+    /// rule, cap or budget — is bit-identical to the fixed plan
+    /// `plan.with_batches(rounds)`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use diversify_des::exec::{
+    ///     accept_all, BudgetOutcome, Executor, Precision, ReplicationPlan, RunPolicy, StopRule,
+    ///     VecCollector,
+    /// };
+    ///
+    /// // Rounds of 10 until the interval around the mean is within 5%
+    /// // of it; this toy monitor's half-width is 1/n.
+    /// let plan = ReplicationPlan::new(1, 10, 42);
+    /// let rule = StopRule::relative(0.05, 20, 200);
+    /// let run = Executor::serial().execute(
+    ///     &plan,
+    ///     || (),
+    ///     |(): &mut (), rep| 1.0 + (rep.seed % 7) as f64 / 10.0,
+    ///     &VecCollector,
+    ///     accept_all::<f64>,
+    ///     Some((&rule, &|values: &Vec<f64>, n| {
+    ///         let mean = values.iter().sum::<f64>() / f64::from(n);
+    ///         Some(Precision { estimate: mean, half_width: 1.0 / f64::from(n) })
+    ///     })),
+    ///     Some(&RunPolicy::new()),
+    /// );
+    /// assert_eq!(run.budget_outcome, BudgetOutcome::PrecisionMet);
+    /// assert_eq!(run.rounds, 2);
+    /// assert_eq!(run.plan, plan.with_batches(2));
+    /// assert!(!run.is_degraded());
+    /// ```
+    #[allow(clippy::too_many_arguments)]
+    pub fn execute<W, T, I, F, C, V>(
         &self,
         plan: &ReplicationPlan,
         init: I,
         task: F,
         collector: &C,
-        policy: &RunPolicy,
-    ) -> PartialRun<C::Output>
-    where
-        W: Send,
-        T: Send,
-        I: Fn() -> W + Sync,
-        F: Fn(&mut W, Replication) -> T + Sync + Send,
-        C: Collector<T>,
-    {
-        self.run_fixed_ft(plan, init, task, collector, policy, accept_all::<T>, false)
-    }
-
-    /// [`Executor::run_ws_budgeted`] with an output validator: a
-    /// replication whose output `validate` rejects (e.g. a non-finite
-    /// reward) counts as failed — retried per policy, then recorded as
-    /// [`FailureCause::InvalidOutput`] — instead of silently corrupting
-    /// downstream aggregates.
-    pub fn run_ws_checked<W, T, I, F, C, V>(
-        &self,
-        plan: &ReplicationPlan,
-        init: I,
-        task: F,
-        collector: &C,
-        policy: &RunPolicy,
         validate: V,
+        until: Option<(&StopRule, &Monitor<'_, C::Accum>)>,
+        policy: Option<&RunPolicy>,
     ) -> PartialRun<C::Output>
     where
         W: Send,
@@ -1527,167 +1371,81 @@ impl Executor {
         C: Collector<T>,
         V: Fn(&T) -> bool + Sync,
     {
-        self.run_fixed_ft(plan, init, task, collector, policy, validate, false)
-    }
-
-    /// Executes batch-sized rounds of `plan` until `rule` is satisfied
-    /// on the response watched by `monitor`, or the replication cap is
-    /// hit.
-    ///
-    /// `plan` contributes the seed schedule and the round size
-    /// (`batch_size`); its batch *count* is ignored — the bounds come
-    /// from the rule. After each round past `rule.min_replications`, the
-    /// monitor receives the running accumulator and the replication
-    /// count and returns the current [`Precision`] of the chosen
-    /// response (or `None` while it cannot be computed, e.g. no
-    /// variance yet).
-    ///
-    /// Seeds stay the plan's `namespace ^ index` derivation and the fold
-    /// shape is the fixed per-round structure, so a run that stops after
-    /// *N* replications is **bit-identical** to
-    /// `collect(&plan.with_batches(N / batch_size), …)`.
-    pub fn run_adaptive<T, F, C, M>(
-        &self,
-        plan: &ReplicationPlan,
-        rule: &StopRule,
-        task: F,
-        collector: &C,
-        monitor: M,
-    ) -> AdaptiveRun<C::Output>
-    where
-        T: Send,
-        F: Fn(Replication) -> T + Sync + Send,
-        C: Collector<T>,
-        M: Fn(&C::Accum, u32) -> Option<Precision>,
-    {
-        self.run_adaptive_ws(
-            plan,
-            rule,
-            || (),
-            |(): &mut (), rep| task(rep),
-            collector,
-            monitor,
-        )
-    }
-
-    /// The workspace twin of [`Executor::run_adaptive`]: adaptive
-    /// batch-sized rounds whose replications borrow per-worker
-    /// workspaces from one pool that stays alive **across rounds**, so
-    /// an adaptive run re-pays workspace setup once, not once per
-    /// round.
-    ///
-    /// Everything `run_adaptive` guarantees still holds: a run that
-    /// stops after *N* replications is bit-identical to
-    /// `run_ws(&plan.with_batches(N / batch_size), …)` — and, for
-    /// history-independent tasks, to the plain `collect` of that plan.
-    pub fn run_adaptive_ws<W, T, I, F, C, M>(
-        &self,
-        plan: &ReplicationPlan,
-        rule: &StopRule,
-        init: I,
-        task: F,
-        collector: &C,
-        monitor: M,
-    ) -> AdaptiveRun<C::Output>
-    where
-        W: Send,
-        T: Send,
-        I: Fn() -> W + Sync,
-        F: Fn(&mut W, Replication) -> T + Sync + Send,
-        C: Collector<T>,
-        M: Fn(&C::Accum, u32) -> Option<Precision>,
-    {
-        let run = self.run_adaptive_ft(
-            plan,
-            rule,
-            init,
-            task,
-            collector,
-            monitor,
-            &RunPolicy::new(),
-            accept_all::<T>,
-            true,
-        );
-        let output = match run.output {
-            Some(output) => output,
-            // Strict mode re-raises failures and the rule executes at
-            // least one full round, so the fold is never empty.
-            None => unreachable!("a strict adaptive run always completes at least one round"),
+        let strict_policy = RunPolicy::new();
+        let (policy, strict) = match policy {
+            Some(policy) => (policy, false),
+            None => (&strict_policy, true),
         };
-        AdaptiveRun {
-            output,
-            plan: run.plan,
-            rounds: run.rounds,
-            replications: run.attempted,
-            target_met: run.budget_outcome == BudgetOutcome::PrecisionMet,
-            precision: run.precision,
+        let batch = plan.batch_size();
+        // A fixed plan is the run without a rule: all of its rounds,
+        // none of them checked.
+        let (max_rounds, min_rounds, mut budget_outcome) = match until {
+            Some((rule, _)) => {
+                let max_rounds = (rule.max_replications / batch).max(1);
+                let min_rounds = rule.min_replications.div_ceil(batch).clamp(1, max_rounds);
+                (max_rounds, min_rounds, BudgetOutcome::RuleCapped)
+            }
+            None => (plan.batches(), plan.batches(), BudgetOutcome::Completed),
+        };
+        let pool = WorkspacePool::new(&init);
+        let started = Instant::now();
+        let mut acc = collector.empty();
+        let mut failed = Vec::new();
+        let mut completed = 0u32;
+        let mut rounds = 0u32;
+        let mut precision = None;
+        while rounds < max_rounds {
+            if let Some(stop) = policy
+                .budget
+                .stop_reason(started, (rounds + 1).saturating_mul(batch))
+            {
+                budget_outcome = stop;
+                break;
+            }
+            let partial = self.round_accum(
+                plan,
+                rounds,
+                &pool,
+                &task,
+                collector,
+                &validate,
+                &policy.retry,
+                strict,
+                &mut completed,
+                &mut failed,
+            );
+            collector.merge(&mut acc, partial);
+            rounds += 1;
+            let Some((rule, monitor)) = until else {
+                continue;
+            };
+            if rounds < min_rounds {
+                continue;
+            }
+            precision = monitor(&acc, completed);
+            if precision.as_ref().is_some_and(|p| rule.is_met(p)) {
+                budget_outcome = BudgetOutcome::PrecisionMet;
+                break;
+            }
         }
-    }
-
-    /// The budgeted twin of [`Executor::run_adaptive_ws`]: adaptive
-    /// rounds under a [`RunPolicy`], returning a [`PartialRun`] whose
-    /// `budget_outcome` distinguishes precision met, the rule's own
-    /// replication cap, and external truncation (budget, deadline,
-    /// cancellation). The monitor receives the *completed* replication
-    /// count, which under faults may be below `rounds × batch_size`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_adaptive_ws_budgeted<W, T, I, F, C, M>(
-        &self,
-        plan: &ReplicationPlan,
-        rule: &StopRule,
-        init: I,
-        task: F,
-        collector: &C,
-        monitor: M,
-        policy: &RunPolicy,
-    ) -> PartialRun<C::Output>
-    where
-        W: Send,
-        T: Send,
-        I: Fn() -> W + Sync,
-        F: Fn(&mut W, Replication) -> T + Sync + Send,
-        C: Collector<T>,
-        M: Fn(&C::Accum, u32) -> Option<Precision>,
-    {
-        self.run_adaptive_ft(
-            plan,
-            rule,
-            init,
-            task,
-            collector,
-            monitor,
-            policy,
-            accept_all::<T>,
-            false,
-        )
-    }
-
-    /// [`Executor::run_adaptive_ws_budgeted`] with an output validator
-    /// (see [`Executor::run_ws_checked`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_adaptive_ws_checked<W, T, I, F, C, M, V>(
-        &self,
-        plan: &ReplicationPlan,
-        rule: &StopRule,
-        init: I,
-        task: F,
-        collector: &C,
-        monitor: M,
-        policy: &RunPolicy,
-        validate: V,
-    ) -> PartialRun<C::Output>
-    where
-        W: Send,
-        T: Send,
-        I: Fn() -> W + Sync,
-        F: Fn(&mut W, Replication) -> T + Sync + Send,
-        C: Collector<T>,
-        M: Fn(&C::Accum, u32) -> Option<Precision>,
-        V: Fn(&T) -> bool + Sync,
-    {
-        self.run_adaptive_ft(
-            plan, rule, init, task, collector, monitor, policy, validate, false,
-        )
+        let effective = if rounds > 0 {
+            plan.with_batches(rounds)
+        } else {
+            *plan
+        };
+        // `finish` only ever sees a non-empty fold, so collectors keep
+        // that invariant even under total failure.
+        let output = (completed > 0).then(|| collector.finish(&effective, acc));
+        PartialRun {
+            output,
+            plan: effective,
+            rounds,
+            attempted: rounds * batch,
+            completed,
+            failed,
+            budget_outcome,
+            precision,
+        }
     }
 }
 
@@ -1718,7 +1476,7 @@ impl<'i, W, I: Fn() -> W> WorkspacePool<'i, W, I> {
     /// panics the workspace is dropped, never recycled half-mutated.
     ///
     /// Zero-sized workspaces (the unit workspace the plain
-    /// `run`/`collect`/`run_adaptive` paths delegate with) skip the pool
+    /// `run`/`collect` paths delegate with) skip the pool
     /// entirely — there is nothing to reuse, so legacy callers pay no
     /// lock traffic. The branch is a compile-time constant per
     /// monomorphization.
@@ -1750,6 +1508,26 @@ mod tests {
     use super::*;
     use crate::rng::RngStream;
 
+    /// A strict adaptive run of a task that reads only its replication.
+    fn strict_adaptive<C: Collector<f64>>(
+        exec: Executor,
+        plan: &ReplicationPlan,
+        rule: &StopRule,
+        task: impl Fn(Replication) -> f64 + Sync + Send,
+        collector: &C,
+        monitor: &dyn Fn(&C::Accum, u32) -> Option<Precision>,
+    ) -> PartialRun<C::Output> {
+        exec.execute(
+            plan,
+            || (),
+            |(): &mut (), rep| task(rep),
+            collector,
+            accept_all::<f64>,
+            Some((rule, monitor)),
+            None,
+        )
+    }
+
     #[test]
     fn seeds_are_pure_functions_of_plan() {
         let plan = ReplicationPlan::new(4, 25, 99);
@@ -1766,9 +1544,9 @@ mod tests {
 
     #[test]
     fn namespace_matches_legacy_replication_runner_schedule() {
-        // ReplicationRunner historically derived seed i as
-        // derive_seed(master, StreamId(0x5EED_0000_0000_0000 ^ i)); the
-        // default plan must reproduce that exactly.
+        // Experiments recorded before the executor existed derived seed
+        // i as derive_seed(master, StreamId(0x5EED_0000_0000_0000 ^ i));
+        // the default plan must reproduce that exactly.
         let plan = ReplicationPlan::flat(100, 1234);
         for i in 0..100 {
             assert_eq!(
@@ -1909,12 +1687,12 @@ mod tests {
             rng.uniform()
         };
         for exec in [Executor::serial(), Executor::parallel()] {
-            let adaptive = exec.run_adaptive(&base, &rule, task, &MeanCollector, |_, _| None);
+            let adaptive = strict_adaptive(exec, &base, &rule, task, &MeanCollector, &|_, _| None);
             assert_eq!(adaptive.rounds, 4);
-            assert_eq!(adaptive.replications, 40);
-            assert!(!adaptive.target_met);
+            assert_eq!(adaptive.attempted, 40);
+            assert!(adaptive.budget_outcome != BudgetOutcome::PrecisionMet);
             let fixed = exec.collect(&base.with_batches(4), task, &MeanCollector);
-            assert_eq!(adaptive.output.to_bits(), fixed.to_bits());
+            assert_eq!(adaptive.output.unwrap().to_bits(), fixed.to_bits());
         }
     }
 
@@ -1965,13 +1743,14 @@ mod tests {
         let created = AtomicU32::new(0);
         let base = ReplicationPlan::new(1, 5, 2);
         let rule = StopRule::relative(1e-9, 5, 40);
-        let run = Executor::serial().run_adaptive_ws(
+        let run = Executor::serial().execute(
             &base,
-            &rule,
             || created.fetch_add(1, Ordering::Relaxed),
             |_, rep| f64::from(rep.index),
             &MeanCollector,
-            |_, _| None,
+            accept_all::<f64>,
+            Some((&rule, &|_, _| None)),
+            None,
         );
         assert_eq!(run.rounds, 8);
         // Eight rounds, one workspace: the pool outlives each round.
@@ -1987,20 +1766,24 @@ mod tests {
             rng.uniform()
         };
         for exec in [Executor::serial(), Executor::parallel()] {
-            let plain = exec.run_adaptive(&base, &rule, task, &MeanCollector, |_, _| None);
-            let ws = exec.run_adaptive_ws(
+            let plain = strict_adaptive(exec, &base, &rule, task, &MeanCollector, &|_, _| None);
+            let ws = exec.execute(
                 &base,
-                &rule,
                 || 0u64,
                 |count: &mut u64, rep| {
                     *count += 1;
                     task(rep)
                 },
                 &MeanCollector,
-                |_, _| None,
+                accept_all::<f64>,
+                Some((&rule, &|_, _| None)),
+                None,
             );
             assert_eq!(ws.rounds, plain.rounds);
-            assert_eq!(ws.output.to_bits(), plain.output.to_bits());
+            assert_eq!(
+                ws.output.unwrap().to_bits(),
+                plain.output.unwrap().to_bits()
+            );
         }
     }
 
@@ -2010,12 +1793,13 @@ mod tests {
         // so the run stops at the first check past min_replications.
         let base = ReplicationPlan::new(1, 5, 3);
         let rule = StopRule::relative(0.05, 12, 100);
-        let run = Executor::serial().run_adaptive(
+        let run = strict_adaptive(
+            Executor::serial(),
             &base,
             &rule,
             |_| 1.0f64,
             &MeanCollector,
-            |acc, n| {
+            &|acc: &MeanAccum, n| {
                 assert_eq!(u64::from(n), acc.n);
                 Some(Precision {
                     estimate: acc.sum / acc.n as f64,
@@ -2025,11 +1809,11 @@ mod tests {
         );
         // min 12 → 3 rounds of 5 before the first check.
         assert_eq!(run.rounds, 3);
-        assert_eq!(run.replications, 15);
-        assert!(run.target_met);
+        assert_eq!(run.attempted, 15);
+        assert!(run.budget_outcome == BudgetOutcome::PrecisionMet);
         assert_eq!(run.precision.unwrap().half_width, 0.0);
         assert_eq!(run.plan.batches(), 3);
-        assert!((run.output - 1.0).abs() < 1e-12);
+        assert!((run.output.unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -2037,18 +1821,25 @@ mod tests {
         let base = ReplicationPlan::new(1, 8, 3);
         // Cap below one round still executes exactly one round.
         let tiny = StopRule::relative(0.5, 1, 4);
-        let run =
-            Executor::serial().run_adaptive(&base, &tiny, |_| 1.0f64, &MeanCollector, |_, _| None);
+        let run = strict_adaptive(
+            Executor::serial(),
+            &base,
+            &tiny,
+            |_| 1.0f64,
+            &MeanCollector,
+            &|_, _| None,
+        );
         assert_eq!(run.rounds, 1);
-        assert_eq!(run.replications, 8);
+        assert_eq!(run.attempted, 8);
         // Cap of 3 rounds is never exceeded.
         let capped = StopRule::relative(1e-12, 1, 24);
-        let run = Executor::serial().run_adaptive(
+        let run = strict_adaptive(
+            Executor::serial(),
             &base,
             &capped,
             |_| 1.0f64,
             &MeanCollector,
-            |_, _| {
+            &|_, _| {
                 Some(Precision {
                     estimate: 0.0,
                     half_width: 1.0,
@@ -2056,7 +1847,7 @@ mod tests {
             },
         );
         assert_eq!(run.rounds, 3);
-        assert!(!run.target_met);
+        assert!(run.budget_outcome != BudgetOutcome::PrecisionMet);
     }
 
     #[test]
@@ -2137,7 +1928,7 @@ mod tests {
         let plan = ReplicationPlan::new(4, 8, 11);
         let clean: Vec<u64> = Executor::serial().run(&plan, |rep| rep.seed % 1000);
         for exec in [Executor::serial(), Executor::parallel()] {
-            let run = exec.run_ws_budgeted(
+            let run = exec.execute(
                 &plan,
                 || (),
                 |(): &mut (), rep| {
@@ -2147,7 +1938,9 @@ mod tests {
                     rep.seed % 1000
                 },
                 &VecCollector,
-                &RunPolicy::new(),
+                accept_all,
+                None,
+                Some(&RunPolicy::new()),
             );
             assert_eq!(run.budget_outcome, BudgetOutcome::Completed);
             assert!(run.is_degraded());
@@ -2176,13 +1969,14 @@ mod tests {
     #[test]
     fn validator_rejection_is_recorded_as_invalid_output() {
         let plan = ReplicationPlan::flat(10, 3);
-        let run = Executor::serial().run_ws_checked(
+        let run = Executor::serial().execute(
             &plan,
             || (),
             |(): &mut (), rep| if rep.index == 4 { f64::NAN } else { 1.0 },
             &MeanCollector,
-            &RunPolicy::new(),
             |value: &f64| value.is_finite(),
+            None,
+            Some(&RunPolicy::new()),
         );
         assert_eq!(run.completed, 9);
         assert_eq!(run.failed.len(), 1);
@@ -2207,12 +2001,14 @@ mod tests {
         for exec in [Executor::serial(), Executor::parallel()] {
             faults.reset();
             let policy = RunPolicy::new().with_retry(RetryPolicy::retries(2));
-            let run = exec.run_ws_budgeted(
+            let run = exec.execute(
                 &plan,
                 || (),
                 faults.wrap(|(): &mut (), rep| task(rep), |v| v),
                 &VecCollector,
-                &policy,
+                accept_all,
+                None,
+                Some(&policy),
             );
             assert!(
                 run.failed.is_empty(),
@@ -2257,12 +2053,14 @@ mod tests {
             // A 17-replication budget affords exactly 3 rounds of 5.
             let policy =
                 RunPolicy::new().with_budget(Budget::unlimited().with_max_replications(17));
-            let run = exec.run_ws_budgeted(
+            let run = exec.execute(
                 &plan,
                 || (),
                 |(): &mut (), rep| task(rep),
                 &VecCollector,
-                &policy,
+                accept_all,
+                None,
+                Some(&policy),
             );
             assert_eq!(run.budget_outcome, BudgetOutcome::ReplicationBudget);
             assert_eq!(run.rounds, 3);
@@ -2279,12 +2077,14 @@ mod tests {
     fn budget_below_one_round_yields_empty_partial() {
         let plan = ReplicationPlan::new(4, 10, 0);
         let policy = RunPolicy::new().with_budget(Budget::unlimited().with_max_replications(9));
-        let run = Executor::serial().run_ws_budgeted(
+        let run = Executor::serial().execute(
             &plan,
             || (),
             |(): &mut (), rep| rep.index,
             &VecCollector,
-            &policy,
+            accept_all,
+            None,
+            Some(&policy),
         );
         assert_eq!(run.rounds, 0);
         assert_eq!(run.completed, 0);
@@ -2299,12 +2099,14 @@ mod tests {
         // Pre-cancelled: no round starts.
         token.cancel();
         let policy = RunPolicy::new().with_budget(Budget::unlimited().with_cancel(&token));
-        let run = Executor::serial().run_ws_budgeted(
+        let run = Executor::serial().execute(
             &plan,
             || (),
             |(): &mut (), rep| rep.index,
             &VecCollector,
-            &policy,
+            accept_all,
+            None,
+            Some(&policy),
         );
         assert_eq!(run.rounds, 0);
         assert_eq!(run.budget_outcome, BudgetOutcome::Cancelled);
@@ -2313,7 +2115,7 @@ mod tests {
         let token = CancelToken::new();
         let cancel_from_task = token.clone();
         let policy = RunPolicy::new().with_budget(Budget::unlimited().with_cancel(&token));
-        let run = Executor::serial().run_ws_budgeted(
+        let run = Executor::serial().execute(
             &plan,
             || (),
             move |(): &mut (), rep| {
@@ -2323,7 +2125,9 @@ mod tests {
                 rep.index
             },
             &VecCollector,
-            &policy,
+            accept_all,
+            None,
+            Some(&policy),
         );
         assert_eq!(run.budget_outcome, BudgetOutcome::Cancelled);
         assert_eq!(run.rounds, 2);
@@ -2335,7 +2139,7 @@ mod tests {
         let plan = ReplicationPlan::new(50, 2, 7);
         let policy = RunPolicy::new()
             .with_budget(Budget::unlimited().with_deadline(Duration::from_micros(200)));
-        let run = Executor::serial().run_ws_budgeted(
+        let run = Executor::serial().execute(
             &plan,
             || (),
             |(): &mut (), rep| {
@@ -2343,7 +2147,9 @@ mod tests {
                 rep.index
             },
             &VecCollector,
-            &policy,
+            accept_all,
+            None,
+            Some(&policy),
         );
         assert_eq!(run.budget_outcome, BudgetOutcome::DeadlineExpired);
         assert!(run.rounds < 50, "deadline must truncate the run");
@@ -2363,14 +2169,14 @@ mod tests {
         for exec in [Executor::serial(), Executor::parallel()] {
             let policy =
                 RunPolicy::new().with_budget(Budget::unlimited().with_max_replications(30));
-            let run = exec.run_adaptive_ws_budgeted(
+            let run = exec.execute(
                 &base,
-                &rule,
                 || (),
                 |(): &mut (), rep| task(rep),
                 &MeanCollector,
-                |_, _| None,
-                &policy,
+                accept_all,
+                Some((&rule, &|_, _| None)),
+                Some(&policy),
             );
             assert_eq!(run.budget_outcome, BudgetOutcome::ReplicationBudget);
             assert_eq!(run.rounds, 3);
@@ -2384,31 +2190,31 @@ mod tests {
         let base = ReplicationPlan::new(1, 5, 3);
         let task = |_: Replication| 1.0f64;
         // Precision met.
-        let met = Executor::serial().run_adaptive_ws_budgeted(
+        let met = Executor::serial().execute(
             &base,
-            &StopRule::relative(0.05, 5, 100),
             || (),
             |(): &mut (), rep| task(rep),
             &MeanCollector,
-            |acc, _| {
+            accept_all,
+            Some((&StopRule::relative(0.05, 5, 100), &|acc, _| {
                 Some(Precision {
                     estimate: acc.sum / acc.n as f64,
                     half_width: 0.0,
                 })
-            },
-            &RunPolicy::new(),
+            })),
+            Some(&RunPolicy::new()),
         );
         assert_eq!(met.budget_outcome, BudgetOutcome::PrecisionMet);
         assert!(!met.is_degraded());
         // Rule cap without meeting the target: honest, not degraded.
-        let capped = Executor::serial().run_adaptive_ws_budgeted(
+        let capped = Executor::serial().execute(
             &base,
-            &StopRule::relative(1e-12, 5, 20),
             || (),
             |(): &mut (), rep| task(rep),
             &MeanCollector,
-            |_, _| None,
-            &RunPolicy::new(),
+            accept_all,
+            Some((&StopRule::relative(1e-12, 5, 20), &|_, _| None)),
+            Some(&RunPolicy::new()),
         );
         assert_eq!(capped.budget_outcome, BudgetOutcome::RuleCapped);
         assert_eq!(capped.rounds, 4);
@@ -2419,14 +2225,16 @@ mod tests {
     fn total_failure_yields_no_output_but_full_failure_record() {
         crate::faults::silence_injected_panics();
         let plan = ReplicationPlan::flat(6, 1);
-        let run = Executor::serial().run_ws_budgeted(
+        let run = Executor::serial().execute(
             &plan,
             || (),
             |(): &mut (), rep| -> u32 {
                 std::panic::panic_any(crate::faults::InjectedPanic { index: rep.index })
             },
             &VecCollector,
-            &RunPolicy::new(),
+            accept_all,
+            None,
+            Some(&RunPolicy::new()),
         );
         assert!(run.output.is_none());
         assert_eq!(run.completed, 0);
@@ -2449,6 +2257,67 @@ mod tests {
             },
             &VecCollector,
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "adaptive strict panic")]
+    fn strict_adaptive_execute_reraises_the_original_payload() {
+        let plan = ReplicationPlan::new(1, 4, 1);
+        let rule = StopRule::relative(1e-12, 4, 40);
+        let mut last = None;
+        for exec in [Executor::serial(), Executor::parallel()] {
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                exec.execute(
+                    &plan,
+                    || (),
+                    |(): &mut (), rep| {
+                        // Second round: the rule has already been checked.
+                        if rep.index == 6 {
+                            panic!("adaptive strict panic");
+                        }
+                        f64::from(rep.index)
+                    },
+                    &MeanCollector,
+                    accept_all::<f64>,
+                    Some((&rule, &|_, _| None)),
+                    None,
+                )
+            }));
+            let payload = caught.expect_err("a strict run re-raises task panics");
+            // The task's own payload, not a re-formatted failure.
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"adaptive strict panic")
+            );
+            last = Some(payload);
+        }
+        resume_unwind(last.expect("both executors ran"));
+    }
+
+    #[test]
+    #[should_panic(expected = "output rejected by validator")]
+    fn strict_execute_panics_with_the_validator_failure() {
+        let plan = ReplicationPlan::flat(10, 3);
+        let caught = catch_unwind(|| {
+            Executor::serial().execute(
+                &plan,
+                || (),
+                |(): &mut (), rep| if rep.index == 4 { f64::NAN } else { 1.0 },
+                &MeanCollector,
+                |value: &f64| value.is_finite(),
+                None,
+                None,
+            )
+        });
+        let payload = caught.expect_err("a strict run panics on a rejected output");
+        let failure = ReplicationFailure {
+            index: 4,
+            seed: plan.seed_for(4),
+            attempts: 1,
+            cause: FailureCause::InvalidOutput,
+        };
+        assert_eq!(payload.downcast_ref::<String>(), Some(&failure.to_string()));
+        resume_unwind(payload);
     }
 
     #[test]

@@ -18,22 +18,24 @@
 //! * **Deterministic randomness** — [`RngStream`]s derived from a single
 //!   master seed with SplitMix64 so independent model components draw from
 //!   independent, reproducible streams.
-//! * **Observation** — [`Welford`] and [`TimeWeighted`] accumulators plus a
-//!   [`ReplicationRunner`] for independent-replication experiments.
+//! * **Observation** — the [`TimeWeighted`] accumulator for
+//!   piecewise-constant signals such as a reward's rate over time.
 //! * **Execution** — the [`exec`] layer: a [`ReplicationPlan`] describing
 //!   seeds and batch structure, run by a serial or parallel [`Executor`]
 //!   and folded by pluggable mergeable [`Collector`]s (streaming
 //!   `empty`/`accumulate`/`merge`/`finish`, never a stored sample of
-//!   every replication). [`Executor::run_adaptive`] executes batch-sized
-//!   rounds until a [`StopRule`] precision target is met. Every
-//!   replication loop in the workspace goes through this one seam.
+//!   every replication). [`Executor::execute`] is the one entry point:
+//!   its options make a run adaptive (batch-sized rounds until a
+//!   [`StopRule`] precision target is met) or fault-tolerant (under a
+//!   [`RunPolicy`]). Every replication loop in the workspace goes
+//!   through this one seam.
 //! * **Rare events** — the [`splitting`] module: fixed-effort multilevel
 //!   splitting (RESTART) over the monotone levels of a [`StagedTask`],
 //!   estimating a rare probability as a product of per-level
 //!   conditionals with the executor's deterministic seed schedule and
 //!   serial ≡ parallel bit-identity intact.
-//! * **Fault tolerance** — every replication executes unwind-caught; the
-//!   budgeted executor paths record failures ([`ReplicationFailure`]),
+//! * **Fault tolerance** — every replication executes unwind-caught; a
+//!   run under a [`RunPolicy`] records failures ([`ReplicationFailure`]),
 //!   retry them deterministically from their own seeds ([`RetryPolicy`]),
 //!   bound work with a [`Budget`] (replication cap, wall-clock deadline,
 //!   cooperative [`CancelToken`]) and degrade gracefully to a
@@ -84,20 +86,18 @@ pub mod calendar;
 pub mod exec;
 pub mod faults;
 pub mod observe;
-pub mod replication;
 pub mod rng;
 pub mod splitting;
 pub mod time;
 
 pub use calendar::{Calendar, EventToken};
 pub use exec::{
-    AdaptiveRun, Budget, BudgetOutcome, CancelToken, Collector, ExecMode, Executor, FailureCause,
-    PartialRun, PlanError, Precision, Replication, ReplicationFailure, ReplicationPlan, Reseed,
-    RetryPolicy, RunPolicy, StopRule,
+    Budget, BudgetOutcome, CancelToken, Collector, ExecMode, Executor, FailureCause, PartialRun,
+    PlanError, Precision, Replication, ReplicationFailure, ReplicationPlan, Reseed, RetryPolicy,
+    RunPolicy, StopRule,
 };
 pub use faults::{FaultKind, FaultPlan, InjectedPanic};
-pub use observe::{TimeWeighted, Welford};
-pub use replication::{ReplicationRunner, ReplicationSummary};
+pub use observe::TimeWeighted;
 pub use rng::{derive_seed, RngStream, StreamId};
 pub use splitting::{
     LevelRun, LevelSummary, Splitting, SplittingRun, StagedTask, SPLITTING_STREAM_NAMESPACE,

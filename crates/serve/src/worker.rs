@@ -154,22 +154,24 @@ fn execute_shard(spec: &ShardSpec, options: &WorkerOptions, cancel: &CancelToken
                 },
             )(ws, global)
         };
-        options.executor.run_ws_checked(
+        options.executor.execute(
             &plan,
             || sim.workspace(),
             task,
             &collector,
-            &policy,
             CampaignStats::is_finite,
+            None,
+            Some(&policy),
         )
     } else {
-        options.executor.run_ws_checked(
+        options.executor.execute(
             &plan,
             || sim.workspace(),
             |ws, rep| sim.run_into(ws, rep.seed),
             &collector,
-            &policy,
             CampaignStats::is_finite,
+            None,
+            Some(&policy),
         )
     };
 

@@ -13,11 +13,10 @@
 //! and the report shows the per-run spend and achieved half-widths.
 
 use diversify::attack::campaign::{CampaignConfig, ThreatModel};
-use diversify::core::exec::{campaign_plan, Executor};
+use diversify::core::exec::{campaign_plan, BudgetOutcome, Executor};
 use diversify::core::pipeline::{Pipeline, PipelineConfig};
 use diversify::core::runner::{
-    achieved_relative_half_width, measure_configuration_adaptive, measure_configuration_with,
-    PrecisionTarget,
+    measure_configuration_run, measure_configuration_with, PrecisionTarget,
 };
 use diversify::scada::scope::{ScopeConfig, ScopeSystem};
 
@@ -52,21 +51,28 @@ fn main() {
     );
 
     let target = PrecisionTarget::p_success(0.05, 50, 400);
-    let adaptive = measure_configuration_adaptive(
+    let adaptive = measure_configuration_run(
         &net,
         &threat,
         campaign,
         &campaign_plan(1, 25, 0xD1CE),
         Executor::default(),
-        &target,
+        Some(&target),
+        None,
     );
+    let measured = adaptive
+        .output
+        .as_ref()
+        .map_or(f64::NAN, |m| m.summary.p_success);
     println!(
         "adaptive: {:>4} campaigns  P_SA={:.3}  half-width={:.4}  (target met: {}, rel {:.3})",
-        adaptive.replications,
-        adaptive.output.summary.p_success,
+        adaptive.attempted,
+        measured,
         adaptive.precision.map_or(f64::NAN, |p| p.half_width),
-        adaptive.target_met,
-        achieved_relative_half_width(&adaptive).unwrap_or(f64::NAN)
+        adaptive.budget_outcome == BudgetOutcome::PrecisionMet,
+        adaptive
+            .precision
+            .map_or(f64::NAN, |p| p.relative_half_width())
     );
     // The first N replications of the adaptive run use exactly the seeds
     // of the fixed plan of N — the run is a fixed plan whose size was

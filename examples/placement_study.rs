@@ -6,7 +6,8 @@
 //! ```
 
 use diversify::attack::campaign::{CampaignConfig, ThreatModel};
-use diversify::core::runner::measure_configuration;
+use diversify::core::exec::{campaign_plan, Executor};
+use diversify::core::runner::measure_configuration_with;
 use diversify::diversity::metrics::deployment_cost;
 use diversify::diversity::placement::{apply_placement, PlacementStrategy};
 use diversify::scada::components::ComponentProfile;
@@ -18,16 +19,15 @@ fn measure(strategy: PlacementStrategy) -> (f64, f64) {
         .clone();
     apply_placement(&mut net, strategy, ComponentProfile::hardened());
     let cost = deployment_cost(&net, 2.0, 5.0);
-    let m = measure_configuration(
+    let m = measure_configuration_with(
         &net,
         &ThreatModel::stuxnet_like(),
         CampaignConfig {
             max_ticks: 24 * 30,
             detection_stops_attack: false,
         },
-        2,
-        30,
-        99,
+        &campaign_plan(2, 30, 99),
+        Executor::default(),
     );
     (m.summary.p_success, cost)
 }

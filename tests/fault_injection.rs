@@ -9,7 +9,7 @@
 use diversify::attack::campaign::{CampaignConfig, CampaignSimulator, ThreatModel};
 use diversify::core::exec::campaign_plan;
 use diversify::core::pipeline::{Pipeline, PipelineConfig};
-use diversify::core::runner::measure_configuration_budgeted;
+use diversify::core::runner::measure_configuration_run;
 use diversify::scada::scope::{ScopeConfig, ScopeSystem};
 use diversify_des::exec::{
     accept_all, Budget, BudgetOutcome, CancelToken, Executor, FailureCause, ReplicationPlan,
@@ -61,12 +61,14 @@ proptest! {
         let policy = RunPolicy::new();
         let run = |executor: Executor| {
             faults.reset();
-            executor.run_ws_budgeted(
+            executor.execute(
                 &plan,
                 || (),
                 faults.wrap(task, |v| v),
                 &VecCollector,
-                &policy,
+                accept_all,
+                None,
+                Some(&policy),
             )
         };
         let serial = run(Executor::serial());
@@ -117,12 +119,14 @@ proptest! {
         let policy = RunPolicy::new().with_retry(RetryPolicy::retries(1));
         for executor in [Executor::serial(), Executor::parallel()] {
             faults.reset();
-            let part = executor.run_ws_budgeted(
+            let part = executor.execute(
                 &plan,
                 || (),
                 faults.wrap(task, |v| v),
                 &VecCollector,
-                &policy,
+                accept_all,
+                None,
+                Some(&policy),
             );
             prop_assert!(part.failed.is_empty());
             prop_assert!(!part.is_degraded());
@@ -146,7 +150,15 @@ proptest! {
         let policy = RunPolicy::new()
             .with_budget(Budget::unlimited().with_max_replications(keep_rounds * 4));
         for executor in [Executor::serial(), Executor::parallel()] {
-            let part = executor.run_ws_budgeted(&long, || (), task, &VecCollector, &policy);
+            let part = executor.execute(
+                &long,
+                || (),
+                task,
+                &VecCollector,
+                accept_all,
+                None,
+                Some(&policy),
+            );
             let full: Vec<f64> = executor.run_ws(&short, || (), task, &VecCollector);
             prop_assert_eq!(part.budget_outcome, BudgetOutcome::ReplicationBudget);
             prop_assert_eq!(part.rounds, keep_rounds);
@@ -172,7 +184,7 @@ fn corrupted_campaign_outcomes_are_quarantined() {
         .with_fault(3, FaultKind::CorruptOutput)
         .with_fault(11, FaultKind::CorruptOutput);
     let policy = RunPolicy::new();
-    let part = Executor::serial().run_ws_checked(
+    let part = Executor::serial().execute(
         &plan,
         || (),
         faults.wrap(
@@ -183,8 +195,9 @@ fn corrupted_campaign_outcomes_are_quarantined() {
             },
         ),
         &VecCollector,
-        &policy,
         |outcome: &diversify::attack::campaign::CampaignOutcome| outcome.stats().is_finite(),
+        None,
+        Some(&policy),
     );
     assert_eq!(part.failed.len(), 2);
     assert!(part
@@ -230,11 +243,18 @@ fn cancellation_degrades_to_a_clean_prefix() {
     let token = CancelToken::new();
     token.cancel();
     let policy = RunPolicy::new().with_budget(Budget::unlimited().with_cancel(&token));
-    let part =
-        measure_configuration_budgeted(&net, &threat, config, &plan, Executor::serial(), &policy);
+    let part = measure_configuration_run(
+        &net,
+        &threat,
+        config,
+        &plan,
+        Executor::serial(),
+        None,
+        Some(&policy),
+    );
     assert_eq!(part.budget_outcome, BudgetOutcome::Cancelled);
     assert_eq!(part.completed, 0);
-    assert!(part.measurements.is_none());
+    assert!(part.output.is_none());
     assert!(part.is_degraded());
 }
 
@@ -271,24 +291,4 @@ fn resilient_pipeline_flags_degraded_cells_end_to_end() {
     assert!(text.contains("DEGRADED"));
     // The degraded sweep still supports the full assessment.
     assert_eq!(report.assessment.ranking.len(), 6);
-}
-
-/// `accept_all` really is the identity validator: the checked path with
-/// it equals the plain budgeted path.
-#[test]
-fn accept_all_matches_unchecked_path() {
-    let plan = ReplicationPlan::new(3, 4, 99);
-    let task = |(): &mut (), rep: diversify_des::exec::Replication| draw(rep.seed);
-    let policy = RunPolicy::new();
-    let a = Executor::serial().run_ws_budgeted(&plan, || (), task, &VecCollector, &policy);
-    let b = Executor::serial().run_ws_checked(
-        &plan,
-        || (),
-        task,
-        &VecCollector,
-        &policy,
-        accept_all::<f64>,
-    );
-    assert_eq!(a.output(), b.output());
-    assert_eq!(a.completed, b.completed);
 }

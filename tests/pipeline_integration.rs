@@ -5,8 +5,9 @@
 // non-test library code of diversify-des/diversify-core.
 #![allow(clippy::disallowed_methods)]
 use diversify::attack::campaign::{CampaignConfig, ThreatModel};
+use diversify::core::exec::{campaign_plan, Executor};
 use diversify::core::pipeline::{Pipeline, PipelineConfig};
-use diversify::core::runner::measure_configuration;
+use diversify::core::runner::measure_configuration_with;
 use diversify::diversity::config::DiversityConfig;
 use diversify::diversity::placement::{apply_placement, PlacementStrategy};
 use diversify::scada::components::ComponentProfile;
@@ -71,9 +72,15 @@ fn diversity_lowers_success_probability() {
             .network()
             .clone();
         cfg.apply(&mut net);
-        measure_configuration(&net, &threat, campaign, 2, 40, seed)
-            .summary
-            .p_success
+        measure_configuration_with(
+            &net,
+            &threat,
+            campaign,
+            &campaign_plan(2, 40, seed),
+            Executor::default(),
+        )
+        .summary
+        .p_success
     };
     let mono = p_for(&DiversityConfig::monoculture(), 5);
     let diverse = p_for(&DiversityConfig::full_rotation(), 5);
@@ -97,9 +104,15 @@ fn strategic_placement_beats_random_at_small_k() {
             .network()
             .clone();
         apply_placement(&mut net, strategy, ComponentProfile::hardened());
-        measure_configuration(&net, &threat, campaign, 2, 25, seed)
-            .summary
-            .p_success
+        measure_configuration_with(
+            &net,
+            &threat,
+            campaign,
+            &campaign_plan(2, 25, seed),
+            Executor::default(),
+        )
+        .summary
+        .p_success
     };
     let k = 3;
     let strategic: f64 = (0..3)

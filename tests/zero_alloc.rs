@@ -196,14 +196,14 @@ fn san_incremental_engine_is_allocation_free_after_warmup() {
 /// through a warm workspace must not allocate per replication.
 #[test]
 fn hardened_executor_path_is_allocation_free_per_replication() {
-    use diversify::des::exec::{Executor, MeanCollector, ReplicationPlan, RunPolicy};
+    use diversify::des::exec::{accept_all, Executor, MeanCollector, ReplicationPlan, RunPolicy};
     let net = scope_network();
     let sim = CampaignSimulator::new(&net, ThreatModel::stuxnet_like(), CampaignConfig::default());
     let policy = RunPolicy::new();
     let run = |reps: u32| -> u64 {
         let plan = ReplicationPlan::new(reps, 10, 0x2EE0);
         let before = allocations();
-        let part = Executor::serial().run_ws_budgeted(
+        let part = Executor::serial().execute(
             &plan,
             || sim.workspace(),
             |ws, rep| {
@@ -211,7 +211,9 @@ fn hardened_executor_path_is_allocation_free_per_replication() {
                 stats.final_compromised_ratio
             },
             &MeanCollector,
-            &policy,
+            accept_all,
+            None,
+            Some(&policy),
         );
         assert!(!part.is_degraded());
         black_box(part);
