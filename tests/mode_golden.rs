@@ -1,4 +1,4 @@
-//! Golden bits of the DoE sweep in all four measurement modes.
+//! Golden bits of the DoE sweep in every measurement mode.
 //!
 //! The other differentials compare modes against each other inside one
 //! build, so a change that shifts every mode the same way passes them.
@@ -6,16 +6,19 @@
 //! sweep below, run fixed or precision-targeted, strict or under a
 //! [`RunPolicy`], every cell's P_SA bits, a digest of its batch
 //! vectors, its adaptive spend and its health record must match the
-//! values recorded here. Re-record only for a deliberate change of
-//! results, never for a refactoring.
+//! values recorded here; the rare-event mode also pins every cell's
+//! multilevel-splitting estimate. Each mode is rendered under both a
+//! serial and a parallel [`Executor`], and both must match the same
+//! lines. Re-record only for a deliberate change of results, never for
+//! a refactoring.
 
 // Test code: the unwrap/expect ban (clippy.toml) applies to the
 // non-test library code of diversify-des/diversify-core.
 #![allow(clippy::disallowed_methods)]
 
 use diversify::attack::campaign::CampaignConfig;
-use diversify::core::exec::{Budget, RunPolicy};
-use diversify::core::pipeline::{Pipeline, PipelineConfig};
+use diversify::core::exec::{Budget, Executor, RunPolicy};
+use diversify::core::pipeline::{Pipeline, PipelineConfig, RareEventTarget};
 use diversify::core::runner::PrecisionTarget;
 use std::fmt::Write as _;
 
@@ -44,7 +47,8 @@ fn digest<'a>(values: impl IntoIterator<Item = &'a f64>) -> u64 {
 }
 
 /// One line per cell: P_SA bits, batch-vector digest, then the adaptive
-/// point and the health record when the mode produces them.
+/// point, the health record and the splitting estimate (estimate, CI
+/// bounds and simulated ticks) when the mode produces them.
 fn render(mode: &str, config: PipelineConfig) -> String {
     let doe = Pipeline::new(config)
         .try_doe_measurements()
@@ -74,6 +78,18 @@ fn render(mode: &str, config: PipelineConfig) -> String {
             )
             .unwrap();
         }
+        if let Some(points) = &doe.rare_event {
+            let s = &points[i];
+            write!(
+                out,
+                " s={:016x}/{:016x}/{:016x}/{}",
+                s.estimate.to_bits(),
+                s.ci.lower.to_bits(),
+                s.ci.upper.to_bits(),
+                s.total_ticks
+            )
+            .unwrap();
+        }
         out.push('\n');
     }
     out
@@ -85,24 +101,38 @@ fn sweep_bits_are_pinned_in_every_mode() {
     // The budget caps adaptive cells mid-run, so the resilient modes
     // also pin the truncation path.
     let policy = RunPolicy::new().with_budget(Budget::unlimited().with_max_replications(24));
+    let rare = RareEventTarget {
+        population: 16,
+        level: 0.95,
+    };
     let modes = [
-        ("fixed-strict", None, None),
-        ("fixed-resilient", None, Some(policy.clone())),
-        ("adaptive-strict", Some(target), None),
-        ("adaptive-resilient", Some(target), Some(policy)),
+        ("fixed-strict", None, None, None),
+        ("fixed-resilient", None, Some(policy.clone()), None),
+        ("adaptive-strict", Some(target), None, None),
+        ("adaptive-resilient", Some(target), Some(policy), None),
+        ("rare-event", None, None, Some(rare)),
     ];
-    let mut actual = String::new();
-    for (mode, precision, resilience) in modes {
-        actual.push_str(&render(
-            mode,
-            PipelineConfig {
-                precision,
-                resilience,
-                ..tiny_config()
-            },
-        ));
+    for executor in [Executor::serial(), Executor::parallel()] {
+        let mut actual = String::new();
+        for (mode, precision, resilience, rare_event) in modes.clone() {
+            actual.push_str(&render(
+                mode,
+                PipelineConfig {
+                    executor,
+                    precision,
+                    resilience,
+                    rare_event,
+                    ..tiny_config()
+                },
+            ));
+        }
+        assert_eq!(
+            actual,
+            GOLDEN,
+            "{:?} executor: sweep bits moved; actual:\n{actual}",
+            executor.mode()
+        );
     }
-    assert_eq!(actual, GOLDEN, "sweep bits moved; actual:\n{actual}");
 }
 
 const GOLDEN: &str = "\
@@ -169,4 +199,20 @@ adaptive-resilient 11 p=3ff0000000000000 b=d137d9e6997fe665 a=8/2/true h=8/8/0/p
 adaptive-resilient 12 p=3ff0000000000000 b=866b5a37efc5dc9b a=8/2/true h=8/8/0/precision met\n\
 adaptive-resilient 13 p=3ff0000000000000 b=d137d9e6997fe665 a=8/2/true h=8/8/0/precision met\n\
 adaptive-resilient 14 p=3fdaaaaaaaaaaaab b=d7c3d0a84ac923a5 a=24/6/false h=24/24/0/replication budget\n\
-adaptive-resilient 15 p=3fe2aaaaaaaaaaab b=6fbe0353aeb101ac a=24/6/false h=24/24/0/replication budget\n";
+adaptive-resilient 15 p=3fe2aaaaaaaaaaab b=6fbe0353aeb101ac a=24/6/false h=24/24/0/replication budget\n\
+rare-event  0 p=3ff0000000000000 b=86c35a37f0105271 s=3ff0000000000000/3fd140f5d9c5dcd6/3ff0000000000000/198\n\
+rare-event  1 p=3ff0000000000000 b=41e7a76e43fff260 s=3ff0000000000000/3fd140f5d9c5dcd6/3ff0000000000000/263\n\
+rare-event  2 p=3ff0000000000000 b=4e7f0d21deedbe55 s=3ff0000000000000/3fd140f5d9c5dcd6/3ff0000000000000/408\n\
+rare-event  3 p=3ff0000000000000 b=74b855b7aa12e6a3 s=3ff0000000000000/3fd140f5d9c5dcd6/3ff0000000000000/483\n\
+rare-event  4 p=3ff0000000000000 b=d77b50474f1a3136 s=3ff0000000000000/3fd140f5d9c5dcd6/3ff0000000000000/530\n\
+rare-event  5 p=3ff0000000000000 b=d137d9e6997fe665 s=3ff0000000000000/3fd140f5d9c5dcd6/3ff0000000000000/567\n\
+rare-event  6 p=3fe8000000000000 b=b3f015f8f17d0355 s=3fdb000000000000/3fb08961c48018e1/3fe7c4e6d664af22/3656\n\
+rare-event  7 p=3fc0000000000000 b=c9231ca757d6fa98 s=3fe5000000000000/3fc098005a89372d/3feca8a4c4aef5a4/2604\n\
+rare-event  8 p=3ff0000000000000 b=f3c566e3791379dd s=3ff0000000000000/3fd140f5d9c5dcd6/3ff0000000000000/249\n\
+rare-event  9 p=3ff0000000000000 b=56e39385f795af44 s=3ff0000000000000/3fd140f5d9c5dcd6/3ff0000000000000/404\n\
+rare-event 10 p=3ff0000000000000 b=d167d9e699a90a27 s=3ff0000000000000/3fd140f5d9c5dcd6/3ff0000000000000/555\n\
+rare-event 11 p=3ff0000000000000 b=d137d9e6997fe665 s=3ff0000000000000/3fd140f5d9c5dcd6/3ff0000000000000/627\n\
+rare-event 12 p=3ff0000000000000 b=866b5a37efc5dc9b s=3ff0000000000000/3fd140f5d9c5dcd6/3ff0000000000000/612\n\
+rare-event 13 p=3ff0000000000000 b=d137d9e6997fe665 s=3ff0000000000000/3fd140f5d9c5dcd6/3ff0000000000000/668\n\
+rare-event 14 p=3fe0000000000000 b=a0f196693f443ae5 s=3fdb000000000000/3fb08961c48018e1/3fe7c4e6d664af22/3741\n\
+rare-event 15 p=3fd8000000000000 b=0a4b5890af0a4c35 s=3fdf800000000000/3fb53f4310308aba/3fe92e1068e65f7a/3286\n";
