@@ -3,7 +3,8 @@
 use crate::content::ContentKey;
 use crate::error::PipelineError;
 use crate::exec::{
-    campaign_plan, BudgetOutcome, Executor, PartialRun, Precision, ReplicationFailure, RunPolicy,
+    campaign_plan, BudgetOutcome, Executor, PartialRun, Precision, ReplicationFailure,
+    ReplicationPlan, RunPolicy,
 };
 use crate::factors::{factor_profile, FactorLevel};
 use crate::report::{
@@ -40,8 +41,14 @@ pub struct PipelineConfig {
     pub batch_size: u32,
     /// Master seed.
     pub seed: u64,
-    /// How measurement replications are scheduled. Serial and parallel
-    /// executors produce bit-identical reports.
+    /// How the DoE sweep is scheduled. A parallel executor measures the
+    /// sweep's distinct design points concurrently, one whole point
+    /// (plant build, measurement run, optional splitting run) per task;
+    /// each point's own replication rounds go through the same executor
+    /// and run inline while the point-level round holds the helper
+    /// pool, so a design with a single distinct cell still parallelises
+    /// inside it. Serial and parallel executors produce bit-identical
+    /// reports.
     pub executor: Executor,
     /// Opt-in: cross-check the staged attack model against the exact
     /// CTMC backend (the stage chain solved analytically vs by
@@ -77,6 +84,14 @@ pub struct PipelineConfig {
     /// run. The report then carries a per-cell [`CellHealth`] record and
     /// flags degraded cells. `None` keeps the historical strict behavior:
     /// any replication panic aborts the sweep.
+    ///
+    /// A budget's wall-clock deadline counts from the start of each
+    /// cell's own run. A parallel executor measures cells concurrently,
+    /// so under a deadline a cell can complete a different number of
+    /// rounds than it would in a serial sweep, where it runs alone. The
+    /// same holds for a cancel token, which stops whichever cells are
+    /// running when it fires. The replication cap does not depend on
+    /// timing: a capped sweep is bit-identical on every executor.
     pub resilience: Option<RunPolicy>,
 }
 
@@ -390,14 +405,7 @@ impl Pipeline {
     /// [`PipelineError::PrecisionCapTooTight`] and
     /// [`PipelineError::EmptyDesignPoint`], as above.
     pub fn try_doe_measurements(&self) -> Result<DoeMeasurements, PipelineError> {
-        let labels: Vec<&str> = ComponentClass::ALL.iter().map(|c| c.label()).collect();
-        // The built-in 2^(6-2) design is statically valid; its generator
-        // words are fixed at compile time, so this cannot fail for any
-        // configuration.
-        #[allow(clippy::disallowed_methods)]
-        let (design, _words) = fractional_factorial(&labels, &[vec![0, 1, 2], vec![1, 2, 3]])
-            .expect("built-in 2^(6-2) design is valid");
-        self.try_doe_measurements_with(design)
+        self.try_doe_measurements_with(doe_design())
     }
 
     /// [`Pipeline::try_doe_measurements`] over a caller-supplied design
@@ -418,13 +426,14 @@ impl Pipeline {
     ///
     /// As [`Pipeline::try_doe_measurements`], plus
     /// [`PipelineError::EmptyDesignPoint`] semantics for budgeted runs.
+    /// When several cells fail, the error of the first in design order
+    /// is returned.
     pub fn try_doe_measurements_with(
         &self,
         design: DesignMatrix,
     ) -> Result<DoeMeasurements, PipelineError> {
-        // One base plan; every design point gets its own decorrelated
-        // sub-plan derived from its run index. Replications inside a run
-        // are scheduled by the configured executor.
+        // One base plan; every distinct cell gets its own decorrelated
+        // sub-plan derived from the index of its first design run.
         let base_plan = campaign_plan(
             self.config.batches,
             self.config.batch_size,
@@ -448,108 +457,109 @@ impl Pipeline {
             }
             None => None,
         };
-        let resilience = self.config.resilience.as_ref();
-        let mut measurements: Vec<Measurements> = Vec::with_capacity(design.runs());
-        let mut adaptive = target.map(|_| Vec::with_capacity(design.runs()));
-        let mut rare_event = self
-            .config
-            .rare_event
-            .map(|_| Vec::<SplittingMeasurements>::with_capacity(design.runs()));
-        let mut health = resilience.map(|_| Vec::<CellHealth>::with_capacity(design.runs()));
-        let mut seen: HashMap<ContentKey, usize> = HashMap::with_capacity(design.runs());
-        for (run_idx, row) in design.rows.iter().enumerate() {
-            let levels: Vec<FactorLevel> =
-                row.iter().map(|&l| FactorLevel::from_coded(l)).collect();
-            let profile = factor_profile(&levels);
-            let mut scope_cfg = self.config.scope.clone();
-            scope_cfg.baseline_profile = profile;
-            // Deduplicate identical cells by content: two rows whose
-            // decoded configurations match measure the same population,
-            // so the first result is reused verbatim (bit-identical,
-            // zero extra replications). Indexing is safe: every earlier
-            // iteration pushed exactly one entry per active vector.
-            let key = ContentKey::of(&cell_content(
-                &scope_cfg,
-                &self.config.threat,
-                &self.config.campaign,
-            ));
-            if let Some(&first) = seen.get(&key) {
-                let repeat = measurements[first].clone();
-                measurements.push(repeat);
-                if let Some(points) = &mut adaptive {
-                    let repeat = points[first];
-                    points.push(repeat);
-                }
-                if let Some(cells) = &mut health {
-                    let repeat = cells[first].clone();
-                    cells.push(repeat);
-                }
-                if let Some(points) = &mut rare_event {
-                    let repeat = points[first].clone();
-                    points.push(repeat);
-                }
-                continue;
+        // Pass 1: decode the rows and deduplicate them by content.
+        let DesignCells { cells, alias } = decode_cells(&design, &self.config);
+        // Pass 2: the distinct cells are independent (each draws from
+        // its own seed streams), so the executor schedules whole cells,
+        // one per task. Results come back in cell order and a strict
+        // panic re-raises with its original payload. A plan needs at
+        // least one task, so an empty design skips the round.
+        let runs = if cells.is_empty() {
+            Vec::new()
+        } else {
+            self.config.executor.run(
+                &ReplicationPlan::flat(cells.len() as u32, self.config.seed),
+                |point| {
+                    self.measure_cell(&cells[point.index as usize], &base_plan, target.as_ref())
+                },
+            )
+        };
+        // Pass 3: the first error in cell order is the first in design
+        // order; duplicates copy their first occurrence.
+        let runs = runs.into_iter().collect::<Result<Vec<CellRun>, _>>()?;
+        let n = design.runs();
+        let mut doe = DoeMeasurements {
+            design,
+            measurements: Vec::with_capacity(n),
+            adaptive: target.map(|_| Vec::with_capacity(n)),
+            rare_event: self.config.rare_event.map(|_| Vec::with_capacity(n)),
+            health: self
+                .config
+                .resilience
+                .as_ref()
+                .map(|_| Vec::with_capacity(n)),
+        };
+        for &cell in &alias {
+            let run = &runs[cell];
+            doe.measurements.push(run.measurements.clone());
+            if let (Some(points), Some(point)) = (&mut doe.adaptive, run.adaptive) {
+                points.push(point);
             }
-            seen.insert(key, run_idx);
-            let system = ScopeSystem::build(&scope_cfg);
-            let run_plan = base_plan.derived(StreamId(run_idx as u64));
-            let run = measure_configuration_run(
+            if let (Some(points), Some(point)) = (&mut doe.rare_event, &run.rare_event) {
+                points.push(point.clone());
+            }
+            if let (Some(records), Some(record)) = (&mut doe.health, &run.health) {
+                records.push(record.clone());
+            }
+        }
+        Ok(doe)
+    }
+
+    /// Measures one distinct design cell: builds its plant, runs the
+    /// measurement plan derived from the cell's first design run, then
+    /// the optional splitting sweep. A resilience budget that leaves
+    /// the cell with zero completed replications is
+    /// [`PipelineError::EmptyDesignPoint`].
+    fn measure_cell(
+        &self,
+        cell: &DesignCell,
+        base_plan: &ReplicationPlan,
+        target: Option<&PrecisionTarget>,
+    ) -> Result<CellRun, PipelineError> {
+        let system = ScopeSystem::build(&cell.scope);
+        let run_plan = base_plan.derived(StreamId(cell.run as u64));
+        let resilience = self.config.resilience.as_ref();
+        let part = measure_configuration_run(
+            system.network(),
+            &self.config.threat,
+            self.config.campaign,
+            &run_plan,
+            self.config.executor,
+            target,
+            resilience,
+        );
+        let adaptive = target.map(|_| AdaptiveSweepPoint {
+            replications: part.attempted,
+            batches: part.rounds,
+            target_met: part.budget_outcome == BudgetOutcome::PrecisionMet,
+            precision: part.precision,
+        });
+        let health = resilience.map(|_| CellHealth::from_partial(&part));
+        let measurements = part.output.ok_or(PipelineError::EmptyDesignPoint {
+            run: cell.run,
+            outcome: part.budget_outcome,
+        })?;
+        let rare_event = match self.config.rare_event {
+            // The splitting sweep seeds from the design run's derived
+            // plan seed but draws through the splitting engine's own
+            // stream namespace, so it never correlates with (or
+            // perturbs) the plain measurements above.
+            Some(rare) => Some(measure_configuration_splitting(
                 system.network(),
                 &self.config.threat,
                 self.config.campaign,
-                &run_plan,
+                rare.population,
+                run_plan.master_seed(),
                 self.config.executor,
-                target.as_ref(),
-                resilience,
-            );
-            if let Some(points) = &mut adaptive {
-                points.push(AdaptiveSweepPoint {
-                    replications: run.attempted,
-                    batches: run.rounds,
-                    target_met: run.budget_outcome == BudgetOutcome::PrecisionMet,
-                    precision: run.precision,
-                });
-            }
-            measurements.push(Self::take_cell(run_idx, run, &mut health)?);
-            if let (Some(rare), Some(points)) = (self.config.rare_event, &mut rare_event) {
-                // The splitting sweep seeds from the design run's derived
-                // plan seed but draws through the splitting engine's own
-                // stream namespace, so it never correlates with (or
-                // perturbs) the plain measurements above.
-                points.push(measure_configuration_splitting(
-                    system.network(),
-                    &self.config.threat,
-                    self.config.campaign,
-                    rare.population,
-                    run_plan.master_seed(),
-                    self.config.executor,
-                    rare.level,
-                )?);
-            }
-        }
-        Ok(DoeMeasurements {
-            design,
+                rare.level,
+            )?),
+            None => None,
+        };
+        Ok(CellRun {
             measurements,
             adaptive,
             rare_event,
             health,
-        })
-    }
-
-    /// Unwraps a cell's run: records its health when the sweep is
-    /// resilient, and surfaces an empty cell (zero completed
-    /// replications) as [`PipelineError::EmptyDesignPoint`].
-    fn take_cell(
-        run_idx: usize,
-        part: PartialRun<Measurements>,
-        health: &mut Option<Vec<CellHealth>>,
-    ) -> Result<Measurements, PipelineError> {
-        if let Some(cells) = health {
-            cells.push(CellHealth::from_partial(&part));
-        }
-        part.output.ok_or(PipelineError::EmptyDesignPoint {
-            run: run_idx,
-            outcome: part.budget_outcome,
         })
     }
 
@@ -737,22 +747,89 @@ impl Pipeline {
     }
 }
 
-/// The content a design cell is addressed by: everything that
-/// determines its measured distribution — decoded plant configuration,
-/// threat, and campaign parameters. Seeds deliberately stay out of the
-/// key (two rows measuring the same population are duplicates no matter
-/// which stream each would have drawn).
-fn cell_content(
-    scope: &ScopeConfig,
-    threat: &ThreatModel,
-    campaign: &CampaignConfig,
-) -> serde::Value {
+/// Generator words of the built-in 2^(6−2) design over
+/// [`ComponentClass::ALL`]: the fifth factor is aliased with the product
+/// of factors 0, 1 and 2, the sixth with that of factors 1, 2 and 3
+/// (resolution IV).
+pub const DOE_GENERATORS: [[usize; 3]; 2] = [[0, 1, 2], [1, 2, 3]];
+
+/// The built-in 2^(6−2) resolution-IV fractional factorial over the six
+/// component classes (generators [`DOE_GENERATORS`]): the design every
+/// [`Pipeline::try_doe_measurements`] sweep measures.
+#[must_use]
+pub fn doe_design() -> DesignMatrix {
+    let labels: Vec<&str> = ComponentClass::ALL.iter().map(|c| c.label()).collect();
+    let generators: Vec<Vec<usize>> = DOE_GENERATORS.iter().map(|g| g.to_vec()).collect();
+    // The generator words are fixed at compile time and valid for six
+    // factors, so this cannot fail for any configuration.
+    #[allow(clippy::disallowed_methods)]
+    let (design, _words) =
+        fractional_factorial(&labels, &generators).expect("built-in 2^(6-2) design is valid");
+    design
+}
+
+/// One distinct cell of a DoE design.
+#[derive(Debug, Clone)]
+pub struct DesignCell {
+    /// Index of the first design run that decodes to this cell. The
+    /// cell is measured through the seed streams derived from it.
+    pub run: usize,
+    /// The decoded plant: the configured scope with the row's component
+    /// profile as its baseline.
+    pub scope: ScopeConfig,
+}
+
+/// A design matrix decoded into its distinct cells
+/// ([`decode_cells`]).
+#[derive(Debug, Clone)]
+pub struct DesignCells {
+    /// The distinct cells, in order of first occurrence.
+    pub cells: Vec<DesignCell>,
+    /// One entry per design run: the index into `cells` of the cell the
+    /// run decodes to, so `cells[alias[run]].run` is the run's first
+    /// occurrence (`run` itself for a distinct row).
+    pub alias: Vec<usize>,
+}
+
+/// Decodes every row of `design` into a plant configuration and
+/// deduplicates the rows by [`ContentKey`] over everything that
+/// determines a cell's measured distribution — decoded plant, threat and
+/// campaign. Seeds stay out of the key: two rows measuring the same
+/// population are duplicates no matter which stream each would have
+/// drawn.
+#[must_use]
+pub fn decode_cells(design: &DesignMatrix, config: &PipelineConfig) -> DesignCells {
     use serde::Serialize as _;
-    serde::Value::Array(vec![
-        scope.to_json_value(),
-        threat.to_json_value(),
-        campaign.to_json_value(),
-    ])
+    let threat = config.threat.to_json_value();
+    let campaign = config.campaign.to_json_value();
+    let mut cells = Vec::new();
+    let mut alias = Vec::with_capacity(design.runs());
+    let mut seen: HashMap<ContentKey, usize> = HashMap::with_capacity(design.runs());
+    for (run, row) in design.rows.iter().enumerate() {
+        let levels: Vec<FactorLevel> = row.iter().map(|&l| FactorLevel::from_coded(l)).collect();
+        let mut scope = config.scope.clone();
+        scope.baseline_profile = factor_profile(&levels);
+        let key = ContentKey::of(&serde::Value::Array(vec![
+            scope.to_json_value(),
+            threat.clone(),
+            campaign.clone(),
+        ]));
+        let cell = *seen.entry(key).or_insert_with(|| {
+            cells.push(DesignCell { run, scope });
+            cells.len() - 1
+        });
+        alias.push(cell);
+    }
+    DesignCells { cells, alias }
+}
+
+/// Everything one distinct cell contributes to a [`DoeMeasurements`];
+/// the optional parts are present exactly when their mode is configured.
+struct CellRun {
+    measurements: Measurements,
+    adaptive: Option<AdaptiveSweepPoint>,
+    rare_event: Option<SplittingMeasurements>,
+    health: Option<CellHealth>,
 }
 
 #[cfg(test)]
@@ -786,6 +863,12 @@ mod tests {
         assert!(text.contains("Step 3"));
     }
 
+    const EXECUTORS: [Executor; 2] = [Executor::serial(), Executor::parallel()];
+
+    fn json(m: &Measurements) -> String {
+        serde_json::to_string(&m.summary).expect("summary serializes")
+    }
+
     #[test]
     fn duplicate_design_points_reuse_the_first_cell() {
         // A degenerate design: rows 0 and 2 decode to the same profile.
@@ -795,26 +878,75 @@ mod tests {
             factors: labels.iter().map(|l| l.to_string()).collect(),
             rows: vec![dup_row.clone(), vec![-1, 1, -1, 1, -1, 1], dup_row.clone()],
         };
-        let pipeline = Pipeline::new(tiny_config());
-        let doe = pipeline
-            .try_doe_measurements_with(design)
-            .expect("sweep succeeds");
-        assert_eq!(doe.measurements.len(), 3);
-        // The duplicate cell is the first occurrence, bit for bit —
-        // without dedup it would draw its own derived stream (row index
-        // 2) and differ. The distinct middle row must keep differing.
-        let json =
-            |m: &Measurements| serde_json::to_string(&m.summary).expect("summary serializes");
-        assert_eq!(json(&doe.measurements[0]), json(&doe.measurements[2]));
-        assert_eq!(
-            doe.measurements[0].batch_p_success,
-            doe.measurements[2].batch_p_success
-        );
-        assert_ne!(json(&doe.measurements[0]), json(&doe.measurements[1]));
-        // The built-in fractional factorial has 16 distinct cells, so
-        // dedup must leave the standard sweep untouched.
-        let full = pipeline.try_doe_measurements().expect("standard sweep");
-        assert_eq!(full.measurements.len(), 16);
+        let cells = decode_cells(&design, &tiny_config());
+        assert_eq!(cells.alias, [0, 1, 0]);
+        assert_eq!(cells.cells.len(), 2);
+        assert_eq!(cells.cells[1].run, 1);
+        for executor in EXECUTORS {
+            let pipeline = Pipeline::new(PipelineConfig {
+                executor,
+                ..tiny_config()
+            });
+            let doe = pipeline
+                .try_doe_measurements_with(design.clone())
+                .expect("sweep succeeds");
+            assert_eq!(doe.measurements.len(), 3);
+            // The duplicate cell is the first occurrence, bit for bit —
+            // without dedup it would draw its own derived stream (row
+            // index 2) and differ. The distinct middle row must keep
+            // differing.
+            assert_eq!(json(&doe.measurements[0]), json(&doe.measurements[2]));
+            assert_eq!(
+                doe.measurements[0].batch_p_success,
+                doe.measurements[2].batch_p_success
+            );
+            assert_ne!(json(&doe.measurements[0]), json(&doe.measurements[1]));
+            // The built-in fractional factorial has 16 distinct cells,
+            // so dedup must leave the standard sweep untouched.
+            let full = pipeline.try_doe_measurements().expect("standard sweep");
+            assert_eq!(full.measurements.len(), 16);
+        }
+    }
+
+    #[test]
+    fn design_of_one_distinct_cell_is_bit_identical_serial_vs_parallel() {
+        // Every row decodes to the same plant, so the sweep is a single
+        // cell: the point-level round has one task and the parallelism
+        // moves inside that cell's replication rounds.
+        let labels: Vec<&str> = ComponentClass::ALL.iter().map(|c| c.label()).collect();
+        let row = vec![-1i8, 1, 1, -1, -1, 1];
+        let design = DesignMatrix {
+            factors: labels.iter().map(|l| l.to_string()).collect(),
+            rows: vec![row; 4],
+        };
+        assert_eq!(decode_cells(&design, &tiny_config()).cells.len(), 1);
+        let [serial, parallel] = EXECUTORS.map(|executor| {
+            Pipeline::new(PipelineConfig {
+                executor,
+                rare_event: Some(RareEventTarget {
+                    population: 16,
+                    level: 0.95,
+                }),
+                ..tiny_config()
+            })
+            .try_doe_measurements_with(design.clone())
+            .expect("sweep succeeds")
+        });
+        assert_eq!(serial.measurements.len(), 4);
+        for (a, b) in serial.measurements.iter().zip(&parallel.measurements) {
+            assert_eq!(json(a), json(b));
+            assert_eq!(a.batch_p_success, b.batch_p_success);
+            assert_eq!(a.batch_compromised, b.batch_compromised);
+        }
+        let rare = |doe: &DoeMeasurements| {
+            doe.rare_event
+                .as_ref()
+                .expect("rare-event sweep")
+                .iter()
+                .map(|p| (p.estimate.to_bits(), p.ci.lower.to_bits(), p.total_ticks))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(rare(&serial), rare(&parallel));
     }
 
     #[test]
@@ -1015,21 +1147,26 @@ mod tests {
     #[test]
     fn budget_that_empties_a_cell_is_a_typed_error() {
         use crate::exec::{Budget, RunPolicy};
-        // A 2-replication cap cannot finish one 4-replication batch.
-        let err = Pipeline::new(PipelineConfig {
-            resilience: Some(
-                RunPolicy::new().with_budget(Budget::unlimited().with_max_replications(2)),
-            ),
-            ..tiny_config()
-        })
-        .try_doe_measurements()
-        .expect_err("empty cells must be rejected");
-        match err {
-            PipelineError::EmptyDesignPoint { run, outcome } => {
-                assert_eq!(run, 0);
-                assert_eq!(outcome, BudgetOutcome::ReplicationBudget);
+        for executor in EXECUTORS {
+            // A 2-replication cap cannot finish one 4-replication batch,
+            // so every cell is empty; the error names the first run in
+            // design order whatever order the cells finished in.
+            let err = Pipeline::new(PipelineConfig {
+                executor,
+                resilience: Some(
+                    RunPolicy::new().with_budget(Budget::unlimited().with_max_replications(2)),
+                ),
+                ..tiny_config()
+            })
+            .try_doe_measurements()
+            .expect_err("empty cells must be rejected");
+            match err {
+                PipelineError::EmptyDesignPoint { run, outcome } => {
+                    assert_eq!(run, 0, "{executor:?}");
+                    assert_eq!(outcome, BudgetOutcome::ReplicationBudget);
+                }
+                other => panic!("unexpected error: {other}"),
             }
-            other => panic!("unexpected error: {other}"),
         }
     }
 

@@ -26,15 +26,12 @@ use crate::protocol::{BatchSnapshot, BudgetSpec, PlanSpec, ShardSpec};
 use crate::worker::{run_worker, WorkerOptions};
 use diversify_attack::campaign::{CampaignConfig, ThreatModel};
 use diversify_core::exec::CAMPAIGN_STREAM_NAMESPACE;
-use diversify_core::factors::{factor_profile, FactorLevel};
 use diversify_core::indicators::{IndicatorAccum, PrecisionResponse};
-use diversify_core::pipeline::PipelineConfig;
+use diversify_core::pipeline::{decode_cells, doe_design, DesignCells, PipelineConfig};
 use diversify_core::runner::Measurements;
 use diversify_core::ContentKey;
 use diversify_des::exec::Precision;
 use diversify_des::{derive_seed, StreamId};
-use diversify_doe::design::fractional_factorial;
-use diversify_scada::components::ComponentClass;
 use diversify_scada::scope::ScopeConfig;
 use serde::{Serialize, Value};
 use std::collections::HashMap;
@@ -448,48 +445,27 @@ impl IndicatorService {
     /// [`Pipeline::try_doe_measurements`](diversify_core::pipeline::Pipeline::try_doe_measurements)
     /// on the fixed-budget path (the config's precision / rare-event /
     /// resilience options are measurement-*strategy* options and do not
-    /// apply to a sharded fixed sweep). Duplicate design points are
-    /// deduplicated by content key, exactly like the pipeline.
+    /// apply to a sharded fixed sweep). The rows are decoded and
+    /// deduplicated by the pipeline's own
+    /// [`decode_cells`].
     #[must_use]
     pub fn sweep_doe(&self, config: &PipelineConfig) -> DoeSweep {
-        let labels: Vec<&str> = ComponentClass::ALL.iter().map(|c| c.label()).collect();
-        // The built-in 2^(6-2) design is statically valid.
-        #[allow(clippy::disallowed_methods)]
-        let (design, _words) = fractional_factorial(&labels, &[vec![0, 1, 2], vec![1, 2, 3]])
-            .expect("built-in 2^(6-2) design is valid");
-
+        let DesignCells { cells, alias } = decode_cells(&doe_design(), config);
         let mut specs = Vec::new();
-        let mut alias = Vec::with_capacity(design.rows.len());
-        let mut seen: HashMap<ContentKey, usize> = HashMap::with_capacity(design.rows.len());
         let step = self.options.batches_per_shard.max(1);
         let mut shard_id = 0u32;
-        for (run_idx, row) in design.rows.iter().enumerate() {
-            let levels: Vec<FactorLevel> =
-                row.iter().map(|&l| FactorLevel::from_coded(l)).collect();
-            let mut scope = config.scope.clone();
-            scope.baseline_profile = factor_profile(&levels);
-            let key = ContentKey::of(&Value::Array(vec![
-                scope.to_json_value(),
-                config.threat.to_json_value(),
-                config.campaign.to_json_value(),
-            ]));
-            if let Some(&first) = seen.get(&key) {
-                alias.push(first);
-                continue;
-            }
-            seen.insert(key, run_idx);
-            alias.push(run_idx);
-            // The pipeline gives run `i` the sub-plan derived from its
-            // index; shards reproduce that master seed so the schedule
-            // is bit-identical.
-            let master_seed = derive_seed(config.seed, StreamId(run_idx as u64));
+        for cell in &cells {
+            // The pipeline gives a cell the sub-plan derived from its
+            // first run's index; shards reproduce that master seed so
+            // the schedule is bit-identical.
+            let master_seed = derive_seed(config.seed, StreamId(cell.run as u64));
             let mut start = 0u32;
             while start < config.batches {
                 let batches = step.min(config.batches - start);
                 specs.push(ShardSpec {
-                    cell: run_idx as u32,
+                    cell: cell.run as u32,
                     shard: shard_id,
-                    scope: scope.clone(),
+                    scope: cell.scope.clone(),
                     threat: config.threat.clone(),
                     campaign: config.campaign,
                     plan: PlanSpec {
@@ -507,12 +483,11 @@ impl IndicatorService {
         }
 
         let report = lock(&self.coordinator).run_sweep(specs);
-        let cells = alias
-            .iter()
-            .map(|&rep| report.merge_cell(rep as u32).ok().flatten())
-            .collect();
         DoeSweep {
-            cells,
+            cells: alias
+                .iter()
+                .map(|&cell| report.merge_cell(cells[cell].run as u32).ok().flatten())
+                .collect(),
             degraded: report.is_degraded(),
             cancelled: report.cancelled,
             deadline_expired: report.deadline_expired,
